@@ -20,8 +20,7 @@ import numpy as np
 
 from . import __version__
 from .depthbound import bound_curve, certify_depth, linear_bound
-from .echoanalysis import (DETECTOR_FWHM_DEFAULT, TimeHistogram, contrast_sweep,
-                           echo_contrast, fit_echo)
+from .echoanalysis import TimeHistogram, contrast_sweep, echo_contrast, fit_echo
 from .echosim import (CombSpec, PhotonSpectrum, absorb, emission_trace,
                       load_comb_trace, simulated_contrast, sweep_contrast_vs_teeth)
 from .errors import ConfigError, ToolkitError
@@ -211,10 +210,13 @@ def _cmd_analyze(args) -> int:
             inputs.extend([base / entry["csv"], base / entry["sidecar"]])
         inputs.append(args.batch)
         prov = _provenance(inputs, {"subtract_background": args.subtract_background,
-                                    "deconvolve": args.deconvolve}, args.seed)
-        rows = contrast_sweep([(label, hist) for label, hist, _ in items],
-                              detector_fwhm=items[0][2] if items else
-                              DETECTOR_FWHM_DEFAULT)
+                                    "deconvolve": args.deconvolve,
+                                    "detector_fwhm": args.detector_fwhm}, args.seed)
+        # each histogram is deconvolved with its own sidecar's detector FWHM
+        # unless --detector-fwhm overrides them all
+        rows = [row for label, hist, det in items
+                for row in contrast_sweep([(label, hist)],
+                                          detector_fwhm=args.detector_fwhm or det)]
         header = ["label", "r_raw", "sigma_raw", "r_subtracted", "sigma_subtracted",
                   "r_deconvolved", "sigma_deconvolved", "error"]
         csv_rows = [[row.get(h, "") for h in header] for row in rows]

@@ -7,10 +7,14 @@ remainder block of size N mod M.  Maximising the contrast subject to the
 measured single- and two-excitation probabilities (P1, P2) yields max_R(M);
 the certified depth is the smallest M whose max_R reaches the measured value.
 
-Two solvers are provided: a fast constraint-elimination solver on the
-two-component reduced family (the numerically observed optimum structure),
-and a full multi-start SLSQP solver over all component weights used to verify
-that structure.
+max_R(M) is evaluated exactly and deterministically on the two-component
+reduced family (the numerically observed optimum structure).  Eliminating the
+constraints leaves one free excitation weight, and the optimum sits on a known
+constraint boundary: for k = N // M >= 2 the smallest feasible tail weight,
+found by root solves on the three constraints; for k = 1 the q = 1 boundary
+(a quadratic root) or an interior maximum found by a bounded search.  A full
+multi-start SLSQP solver over all component weights (mode 'full', the only
+user of ``n_starts`` and ``seed``) verifies that structure.
 """
 
 from __future__ import annotations
@@ -25,8 +29,14 @@ from .errors import ContrastInconsistencyError, InfeasibleBoundError
 
 _REL_TOL = 1e-12
 _CONSTRAINT_TOL = 1e-10
-_GRID_SIZE = 4000
-_INFEASIBLE = -1e300
+# tail weights at which the two-excitation ceiling is sampled
+_CEILING_GRID = np.linspace(1e-6, 1.0 - 1e-6, 2000)
+# tail weights whose constraint signs bracket the reduced family's smallest
+# feasible w; holding the ceiling grid, it meets every capped P2 budget
+_TAIL_GRID = np.union1d(np.geomspace(1e-14, 1.0 - 1e-12, 400), _CEILING_GRID)
+# span of the k = 1 excitation weight u, and the scan per feasible piece
+_U_EDGE = 1e-12
+_K1_SCAN = 24
 
 
 @dataclass(frozen=True)
@@ -43,6 +53,8 @@ class BoundProblem:
             raise ValueError("n_teeth must be >= 1")
         if not 1 <= self.depth <= self.n_teeth:
             raise ValueError("depth must satisfy 1 <= M <= N")
+        if not (math.isfinite(self.p1) and math.isfinite(self.p2)):
+            raise ValueError("p1 and p2 must be finite")
         if self.p1 <= 0:
             raise ValueError("p1 must be positive")
         if self.p2 < 0 or self.p2 > self.p1:
@@ -101,25 +113,41 @@ def slaved_remainder_weight(beta_k_sq: float, depth: int, k_prime: int) -> float
     return rho * beta_k_sq / (1.0 - beta_k_sq * (1.0 - rho))
 
 
-def _component_terms(prob: BoundProblem, i: int, w: float, v: float | None = None):
-    """(s, p2, r) of component i at excitation weight w = beta_i^2.
+def _component_sp2(prob: BoundProblem, i: int, w, v=None):
+    """(s, p2) of component i at excitation weight w = beta_i^2.
 
-    s is the single-excitation probability, p2 the two-excitation
-    probability, and r the component's contribution |sum_j c_j|^2 to the
-    contrast numerator (already including the depth factor).
+    s is the single-excitation probability and p2 the two-excitation
+    probability.  w (and v) may be numpy arrays.
     """
-    m, k, kp = prob.depth, prob.k, prob.k_prime
+    k, kp = prob.k, prob.k_prime
     one = 1.0 - w
     if i < k or kp == 0:
         s = i * w * one ** (i - 1)
         p2 = 0.5 * i * (i - 1) * w * w * one ** (i - 2) if i >= 2 else 0.0
-        return s, p2, m * i * i * w * one ** (i - 1)
+        return s, p2
     if v is None:
-        v = slaved_remainder_weight(w, m, kp)
+        v = slaved_remainder_weight(w, prob.depth, kp)
     a = w * one ** (k - 1)
     s = k * a * (1.0 - v) + v * one**k
     p2 = (0.5 * k * (k - 1) * w * w * one ** (k - 2) if k >= 2 else 0.0) * (1.0 - v) \
         + k * a * v
+    return s, p2
+
+
+def _component_terms(prob: BoundProblem, i: int, w: float, v: float | None = None):
+    """(s, p2, r) of component i at excitation weight w = beta_i^2.
+
+    r is the component's contribution |sum_j c_j|^2 to the contrast
+    numerator (already including the depth factor); s and p2 as in
+    ``_component_sp2``.
+    """
+    m, k, kp = prob.depth, prob.k, prob.k_prime
+    s, p2 = _component_sp2(prob, i, w, v)
+    one = 1.0 - w
+    if i < k or kp == 0:
+        return s, p2, m * i * i * w * one ** (i - 1)
+    if v is None:
+        v = slaved_remainder_weight(w, m, kp)
     amp = k * math.sqrt(m * w * (1.0 - v)) * one ** ((k - 1) / 2.0) \
         + math.sqrt(kp * v) * one ** (k / 2.0)
     return s, p2, amp * amp
@@ -209,32 +237,18 @@ class MaxContrastResult:
 
 
 def _p2_ceiling(prob: BoundProblem) -> float:
-    """Largest two-excitation probability the family reaches at the given P1."""
-    k, kp = prob.k, prob.k_prime
-    if k == 1 and kp == 0:
-        return 0.0
-    best = 0.0
-    grid = np.linspace(1e-6, 1.0 - 1e-6, 2000)
-    if k == 1:
-        for u in grid:
-            for v in np.linspace(1e-6, 1.0 - 1e-6, 200):
-                s, p2, _ = _component_terms(prob, 1, float(u), float(v))
-                if s <= 0 or p2 <= 0:
-                    continue
-                q = min(1.0, prob.p1 / s)
-                best = max(best, q * p2)
-        return best
-    for w in grid:
-        s, p2, _ = _component_terms(prob, k, float(w))
-        if p2 <= 0:
-            continue
-        caps = [1.0]
-        if s > 0:
-            caps.append(prob.p1 / s)
-        if s < 1.0:
-            caps.append((1.0 - prob.p1) / (1.0 - s))
-        best = max(best, max(min(caps), 0.0) * p2)
-    return best
+    """Largest two-excitation probability the k >= 2 family reaches at P1.
+
+    Sampled on ``_CEILING_GRID``.  The k = 1 family never needs it: u -> 1
+    meets any budget with q = P1 + P2 <= 1.
+    """
+    s, p2 = _component_sp2(prob, prob.k, _CEILING_GRID)
+    with np.errstate(all="ignore"):  # s = 0 or 1, or P1/s overflowing to inf
+        caps = np.minimum(1.0, np.minimum(np.where(s > 0, prob.p1 / s, np.inf),
+                                          np.where(s < 1, (1.0 - prob.p1) / (1.0 - s),
+                                                   np.inf)))
+    reach = np.where(p2 > 0, np.maximum(caps, 0.0) * p2, 0.0)
+    return max(float(reach.max()), 0.0)
 
 
 def _vacuum_state(prob: BoundProblem) -> MixedBlockState:
@@ -284,53 +298,107 @@ def _k1_eval(prob: BoundProblem, u: float, p2_target: float):
     return q * r / (prob.p1 + 2.0 * prob.p2), q, v
 
 
-def _scan_grid(lo: float, hi: float, size: int) -> np.ndarray:
-    return np.unique(np.concatenate([
-        np.geomspace(max(lo, 1e-14), hi, size),
-        np.linspace(lo, hi, size),
-    ]))
+def _tail_constraints(prob: BoundProblem, p2_target: float, w):
+    """q_k <= 1, x >= 0 and b1 <= 1 of the reduced family, each as g(w) >= 0.
 
-
-def _maximise_scalar(f, lo, hi, n_starts, rng, start_objectives):
-    """Grid scan + bracketed refinement + the contracted random starts.
-
-    f returns the large negative ``_INFEASIBLE`` sentinel outside the
-    feasible region, which the bounded Brent search simply avoids.
+    Each carries the tolerance ``_reduced_eval`` grants it, so the boundary
+    found is that of the feasible set ``_reduced_eval`` accepts (it matters
+    where a constraint only touches zero, e.g. b1 <= 1 at w = 1 when
+    P1 + P2 = 1).
     """
-    grid = _scan_grid(lo, hi, _GRID_SIZE)
-    vals = np.array([f(w) for w in grid])
-    best_w, best_v = None, _INFEASIBLE
-    feasible = np.where(vals > _INFEASIBLE)[0]
-    if feasible.size:
-        order = feasible[np.argsort(vals[feasible])][-8:]
-        for idx in order:
-            a = grid[max(idx - 1, 0)]
-            b = grid[min(idx + 1, grid.size - 1)]
-            res = optimize.minimize_scalar(lambda w: -f(w), bounds=(a, b),
-                                           method="bounded",
-                                           options={"xatol": 1e-15})
-            cand_w = float(res.x)
-            cand_v = f(cand_w)
-            if cand_v > best_v:
-                best_w, best_v = cand_w, cand_v
-    for _ in range(n_starts):
-        w0 = 10.0 ** rng.uniform(math.log10(max(lo, 1e-14)), math.log10(hi))
-        a, b = max(lo, w0 / 30.0), min(hi, w0 * 30.0)
-        res = optimize.minimize_scalar(lambda w: -f(w), bounds=(a, b),
-                                       method="bounded", options={"xatol": 1e-15})
-        cand_w = float(res.x)
-        cand_v = f(cand_w)
-        start_objectives.append(cand_v if cand_v > _INFEASIBLE else -math.inf)
-        if cand_v > best_v:
-            best_w, best_v = cand_w, cand_v
-    if best_v <= _INFEASIBLE:
-        return None, best_v
-    return best_w, best_v
+    s, p2 = _component_sp2(prob, prob.k, w)
+    t = 1.0 + _REL_TOL
+    return (t * p2 - p2_target, (1.0 + 1e-15) * prob.p1 * p2 - p2_target * s,
+            (t - prob.p1) * p2 - p2_target * (t - s))
 
 
-def _reduced_max(prob: BoundProblem, p2_target: float, n_starts: int, seed: int):
+def _tail_max(prob: BoundProblem, p2_target: float):
+    """(w, _reduced_eval at w) for the smallest feasible tail weight w.
+
+    With q_k = P2/p2 the contrast numerator is M P1 + P2 (N - M) s(w)/p2(w).
+    s/p2 = 2 (1 - w)/((k - 1) w) falls strictly in w when k' = 0, and falls
+    with the slaved remainder too (checked densely by the tests).  Each
+    constraint holds on one interval of w (p2 is unimodal, (1 - s)/p2
+    U-shaped; the oracle tests check the outcome), so the feasible set is
+    an interval and the optimum is its left end: the largest lower boundary
+    among the three constraints.  The first feasible grid point brackets
+    it; brentq solves each constraint that changes sign in the bracket.
+    Returns None when no tail weight is feasible.
+    """
+    grid = _TAIL_GRID
+    g = np.array(_tail_constraints(prob, p2_target, grid))
+    feasible = np.all(g >= 0.0, axis=0)
+    if not feasible.any():
+        return None
+    j = int(np.argmax(feasible))
+    hi = w = float(grid[j])
+    if j > 0:
+        lo = w = float(grid[j - 1])
+        for i in np.flatnonzero(g[:, j - 1] < 0.0):
+            def gi(t, i=i):
+                return _tail_constraints(prob, p2_target, t)[i]
+
+            if gi(hi) <= 0.0:  # rounding put the root on the bracket's end
+                w = hi
+            elif gi(lo) < 0.0:
+                w = max(w, optimize.brentq(gi, lo, hi, xtol=1e-300,
+                                           rtol=4 * np.finfo(float).eps))
+    # the root may sit a few ulps on the infeasible side; hi is feasible
+    for _ in range(64):
+        out = _reduced_eval(prob, w, p2_target)
+        if out is not None:
+            return w, out
+        w = float(np.nextafter(w, hi))
+    out = _reduced_eval(prob, hi, p2_target)
+    return (hi, out) if out is not None else None
+
+
+def _k1_max(prob: BoundProblem, p2_target: float):
+    """(u, _k1_eval at u) maximising the k = 1 contrast.
+
+    q = P2/(u v) <= 1 holds outside the roots u_- <= u_+ of
+    u^2 - (P1 + 2 P2) u + P2 = 0 (everywhere when they are complex), so the
+    feasible u lie in [u_v1, u_-] and [u_+, 1), u_v1 being the v = 1 edge.
+    The candidates are the exact q = 1 roots plus, on each piece, the best
+    point of a log-spaced scan refined by a bounded Brent search in log u
+    (the maximum can be interior, e.g. where all N amplitudes are equal).
+    """
+    edge = 1.0 / (prob.p1 / p2_target + 1.0) * (1.0 + _U_EDGE)
+    top = 1.0 - _U_EDGE
+    b = prob.p1 + 2.0 * p2_target
+    disc = b * b - 4.0 * p2_target
+    if disc > 0.0:
+        u_plus = 0.5 * (b + math.sqrt(disc))
+        u_minus = p2_target / u_plus
+        candidates = [u_minus, u_plus]
+        pieces = [(edge, u_minus), (u_plus, top)]
+    else:
+        candidates, pieces = [], [(edge, top)]
+
+    def value(log_u):
+        out = _k1_eval(prob, math.exp(log_u), p2_target)
+        return -math.inf if out is None else out[0]
+
+    for lo, hi in pieces:
+        if not lo < hi:
+            continue
+        grid = np.linspace(math.log(lo), math.log(hi), _K1_SCAN)
+        i = int(np.argmax([value(t) for t in grid]))
+        res = optimize.minimize_scalar(
+            lambda t: -value(t), method="bounded",
+            bounds=(grid[max(i - 1, 0)], grid[min(i + 1, _K1_SCAN - 1)]),
+            options={"xatol": 1e-12})
+        candidates += [math.exp(grid[i]), math.exp(float(res.x))]
+    best = None
+    for u in candidates:
+        out = _k1_eval(prob, u, p2_target)
+        if out is not None and (best is None or out[0] > best[1][0]):
+            best = (u, out)
+    return best
+
+
+def _reduced_max(prob: BoundProblem, p2_target: float, n_starts: int):
     """Maximum contrast over the two-live-component (reduced) family."""
-    rng = np.random.default_rng(seed)
     diag = SolverDiagnostics(mode="reduced", n_starts=n_starts, p2_target=p2_target)
 
     if p2_target <= 0.0:
@@ -342,34 +410,24 @@ def _reduced_max(prob: BoundProblem, p2_target: float, n_starts: int, seed: int)
         return MaxContrastResult(value, state, diag)
 
     if prob.k == 1:
-        def f(u):
-            out = _k1_eval(prob, float(u), p2_target)
-            return _INFEASIBLE if out is None else out[0]
-
-        lo = 1.0 / (prob.p1 / p2_target + 1.0)
-        best_u, best_v = _maximise_scalar(f, lo * (1 + 1e-12), 1.0 - 1e-12,
-                                          n_starts, rng, diag.start_objectives)
-        if best_u is None:
-            raise InfeasibleBoundError(
-                f"no feasible state at depth {prob.depth} for the given P1, P2")
-        _, q, v = _k1_eval(prob, best_u, p2_target)
-        state = MixedBlockState(weights=np.array([q]), beta_sq=np.array([best_u]),
+        found = _k1_max(prob, p2_target)
+    else:
+        found = _tail_max(prob, p2_target)
+    if found is None:
+        raise InfeasibleBoundError(
+            f"no feasible state at depth {prob.depth} for the given P1, P2")
+    w, out = found
+    best_v = out[0]
+    if prob.k == 1:
+        _, q, v = out
+        state = MixedBlockState(weights=np.array([q]), beta_sq=np.array([w]),
                                 beta_kprime_sq=v)
     else:
-        def f(w):
-            out = _reduced_eval(prob, float(w), p2_target)
-            return _INFEASIBLE if out is None else out[0]
-
-        best_w, best_v = _maximise_scalar(f, 1e-14, 1.0 - 1e-12, n_starts, rng,
-                                          diag.start_objectives)
-        if best_w is None:
-            raise InfeasibleBoundError(
-                f"no feasible state at depth {prob.depth} for the given P1, P2")
-        _, q1, b1, q_k = _reduced_eval(prob, best_w, p2_target)
+        _, q1, b1, q_k = out
         q = np.zeros(prob.k)
         b = np.zeros(prob.k)
         q[0], b[0] = q1, b1
-        q[-1], b[-1] = q_k, best_w
+        q[-1], b[-1] = q_k, w
         state = MixedBlockState(weights=q, beta_sq=b)
 
     s, p2, _ = _state_sums(state, prob)
@@ -498,12 +556,15 @@ def max_contrast(prob: BoundProblem, n_starts: int = 200, seed: int = 0,
     budget is always optimal, so the constraint holds with equality whenever
     attainable, to relative residual 1e-10.
 
-    mode 'auto' uses the reduced two-component solver: placing the whole
-    two-excitation budget on the largest component dominates any split
-    (Cauchy-Schwarz on the component weights), so the reduced family attains
-    the global optimum; the 'full' mode optimises all k weights with
-    multi-start SLSQP and exists to verify that structure.  Deterministic
-    for a fixed seed.
+    mode 'auto' evaluates the reduced two-component family: placing the
+    whole two-excitation budget on the largest component dominates any
+    split (Cauchy-Schwarz on the component weights), so the reduced family
+    attains the global optimum.  The evaluation is deterministic: an exact
+    active-set solve (the smallest feasible tail weight for k >= 2, the
+    q = 1 roots plus a bounded search for k = 1), so ``n_starts`` and
+    ``seed`` do not change it.  The 'full' mode optimises all k weights with
+    multi-start SLSQP, driven by ``n_starts`` and ``seed``, and exists to
+    verify that structure.
     """
     if mode not in ("auto", "reduced", "full"):
         raise ValueError("mode must be auto, reduced, or full")
@@ -511,17 +572,17 @@ def max_contrast(prob: BoundProblem, n_starts: int = 200, seed: int = 0,
         # a single full-size block never holds two excitations; capping the
         # budget at zero only enlarges the feasible set, keeping bounds valid
         p2_target = 0.0
-        reduced = _reduced_max(prob, p2_target, n_starts, seed)
+        reduced = _reduced_max(prob, p2_target, n_starts)
     else:
         p2_target = prob.p2
         try:
-            reduced = _reduced_max(prob, p2_target, n_starts, seed)
+            reduced = _reduced_max(prob, p2_target, n_starts)
         except InfeasibleBoundError:
             ceiling = _p2_ceiling(prob)
             if ceiling <= 0:
                 raise
             p2_target = min(prob.p2, ceiling * (1.0 - 1e-9))
-            reduced = _reduced_max(prob, p2_target, n_starts, seed)
+            reduced = _reduced_max(prob, p2_target, n_starts)
     if mode != "full" or prob.k == 1 or p2_target == 0.0:
         return reduced
     return _full_max(prob, p2_target, n_starts, seed, reduced)
@@ -578,7 +639,12 @@ def certify_depth(contrast: float, sigma: float, n_teeth: int, p1: float,
 
     Bisection over integer M (max contrast is non-decreasing in M); the
     interval entries come from repeating the search at contrast -/+ sigma.
+    Each max_R(M) is the deterministic active-set evaluation of
+    ``max_contrast``, so ``n_starts`` and ``seed`` only echo into the
+    diagnostics.
     """
+    if not (math.isfinite(contrast) and math.isfinite(sigma)):
+        raise ValueError("contrast and sigma must be finite")
     if contrast <= 0:
         raise ValueError("contrast must be positive")
     if sigma < 0:

@@ -59,11 +59,24 @@ class TimeHistogram:
 
     @classmethod
     def from_csv(cls, csv_path, sidecar_path):
-        """Load counts from CSV (bin_start_s, counts) plus a JSON sidecar."""
-        data = np.loadtxt(csv_path, delimiter=",", comments="#")
+        """Load counts from CSV (bin_start_s, counts) plus a JSON sidecar.
+
+        The bin starts must be i * bin_width of the sidecar, to 1e-9 relative
+        (and 1e-9 of a bin at i = 0); a mismatch means the two files do not
+        belong together.
+        """
+        data = np.loadtxt(csv_path, delimiter=",", comments="#", ndmin=2)
+        if data.shape[1] != 2:
+            raise ValueError(f"{csv_path}: need two columns (bin_start_s, counts), "
+                             f"found {data.shape[1]}")
         with open(sidecar_path) as fh:
             meta = json.load(fh)
-        hist = cls(bin_width=float(meta["bin_width"]),
+        bin_width = float(meta["bin_width"])
+        expected = np.arange(data.shape[0]) * bin_width
+        if not np.allclose(data[:, 0], expected, rtol=1e-9, atol=1e-9 * bin_width):
+            raise ValueError(f"{csv_path}: bin starts are not multiples of the "
+                             f"sidecar's bin_width {bin_width!r}")
+        hist = cls(bin_width=bin_width,
                    counts=np.round(data[:, 1]).astype(np.int64),
                    herald_index=int(meta["herald_index"]),
                    storage_time=float(meta["storage_time"]))

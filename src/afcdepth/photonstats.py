@@ -36,8 +36,8 @@ class ChannelModel:
     eta_t: float
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if not math.isfinite(self.mu) or self.mu <= 0:
+            raise ValueError("mu must be positive and finite")
         for name in ("eta_a", "eta_b", "eta_w", "eta_t"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from scipy import optimize
+
 from afcdepth.depthbound import BoundProblem, MixedBlockState
 from afcdepth.dicke import w_ket
 from afcdepth.echosim import CombSpec
@@ -108,6 +110,96 @@ def grid_search_max(prob: BoundProblem, points: int = 10_000) -> float:
         if out is not None:
             best = max(best, out[0])
     return best
+
+
+_INFEASIBLE = -1e300
+
+
+def _scan_grid(lo: float, hi: float, size: int = 4000) -> np.ndarray:
+    return np.unique(np.concatenate([
+        np.geomspace(max(lo, 1e-14), hi, size),
+        np.linspace(lo, hi, size),
+    ]))
+
+
+def _multistart_scalar_max(f, lo, hi, n_starts, rng):
+    """Best f on [lo, hi] by search: a grid scan, bounded Brent around the
+    eight best grid points, then ``n_starts`` bounded Brent searches over
+    [w0/30, 30 w0] from log-uniform random w0.  f returns ``_INFEASIBLE``
+    outside the feasible region, which the Brent searches simply avoid."""
+    grid = _scan_grid(lo, hi)
+    vals = np.array([f(w) for w in grid])
+    feasible = np.flatnonzero(vals > _INFEASIBLE)
+    brackets = [(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)])
+                for i in feasible[np.argsort(vals[feasible])][-8:]]
+    for _ in range(n_starts):
+        w0 = 10.0 ** rng.uniform(math.log10(max(lo, 1e-14)), math.log10(hi))
+        brackets.append((max(lo, w0 / 30.0), min(hi, w0 * 30.0)))
+    best = _INFEASIBLE
+    for a, b in brackets:
+        res = optimize.minimize_scalar(lambda w: -f(w), bounds=(a, b),
+                                       method="bounded", options={"xatol": 1e-15})
+        best = max(best, f(float(res.x)))
+    return best if best > _INFEASIBLE else None
+
+
+def p2_ceiling_loop(prob: BoundProblem) -> float:
+    """Two-excitation ceiling of the k >= 2 family, one tail weight at a time
+    on the library's 2000-point grid (reference for its numpy version)."""
+    from afcdepth.depthbound import _component_terms
+
+    best = 0.0
+    for w in np.linspace(1e-6, 1.0 - 1e-6, 2000):
+        s, p2, _ = _component_terms(prob, prob.k, float(w))
+        if p2 <= 0:
+            continue
+        caps = [1.0]
+        if s > 0:
+            caps.append(prob.p1 / s)
+        if s < 1.0:
+            caps.append((1.0 - prob.p1) / (1.0 - s))
+        best = max(best, max(min(caps), 0.0) * p2)
+    return best
+
+
+def multistart_max_contrast(prob: BoundProblem, n_starts: int = 200,
+                            seed: int = 0):
+    """max_R(M) of the reduced family by seeded multi-start search.
+
+    Shares only the scalar evaluators ``_reduced_eval`` / ``_k1_eval`` and the
+    P2 cap rule with the library's active-set evaluation; the search over the
+    free weight (w for k >= 2, u for k = 1) is ``_multistart_scalar_max``.
+    Returns None when no feasible state is found.
+    """
+    from afcdepth.depthbound import _k1_eval, _reduced_eval
+
+    norm = prob.p1 + 2.0 * prob.p2
+    if prob.p2 <= 0 or (prob.k == 1 and prob.k_prime == 0):
+        return prob.depth * prob.p1 / norm
+
+    def search(p2_target):
+        rng = np.random.default_rng(seed)
+        if prob.k == 1:
+            def f(u):
+                out = _k1_eval(prob, float(u), p2_target)
+                return _INFEASIBLE if out is None else out[0]
+
+            lo = 1.0 / (prob.p1 / p2_target + 1.0)
+            return _multistart_scalar_max(f, lo * (1 + 1e-12), 1.0 - 1e-12,
+                                          n_starts, rng)
+
+        def f(w):
+            out = _reduced_eval(prob, float(w), p2_target)
+            return _INFEASIBLE if out is None else out[0]
+
+        return _multistart_scalar_max(f, 1e-14, 1.0 - 1e-12, n_starts, rng)
+
+    value = search(prob.p2)
+    if value is None:
+        ceiling = p2_ceiling_loop(prob)
+        if ceiling > 0:
+            value = search(min(prob.p2, ceiling * (1.0 - 1e-9)))
+    return value
 
 
 def mc_emission_probability(amps, comb: CombSpec, times, n_samples: int = 10_000,

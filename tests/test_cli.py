@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from afcdepth.cli import main
+from afcdepth.echoanalysis import TimeHistogram, echo_contrast, fit_echo
 from afcdepth.fixtures import write_fixture_files
 
 REFERENCE_CHANNEL_CONF = (
@@ -93,6 +94,35 @@ class TestAnalyze:
         assert len(rows) == 7
         raw = [float(r["r_raw"]) for r in rows]
         assert max(raw) == pytest.approx(70.6, abs=5.0)
+
+    def test_batch_uses_each_sidecars_detector_fwhm(self, tmp_path):
+        fixtures = tmp_path / "fixtures"
+        manifest = write_fixture_files(fixtures, seed=11)
+        entries = manifest["histograms"]
+        for entry, fwhm in zip(entries, (200e-12, 300e-12)):
+            sidecar = fixtures / entry["sidecar"]
+            meta = read_json(sidecar)
+            meta["detector_fwhm"] = fwhm
+            sidecar.write_text(json.dumps(meta))
+
+        def expected(entry, fwhm=None):
+            hist, det = TimeHistogram.from_csv(fixtures / entry["csv"],
+                                               fixtures / entry["sidecar"])
+            r, _ = echo_contrast(fit_echo(hist), subtract_background=True,
+                                 deconvolve=True, detector_fwhm=fwhm or det)
+            return r
+
+        for override in (None, 250e-12):
+            out = tmp_path / f"out_{override}"
+            argv = ["analyze", "--batch", str(fixtures / "manifest.json"),
+                    "--out", str(out)]
+            if override:
+                argv += ["--detector-fwhm", str(override)]
+            assert main(argv) == 0
+            rows = read_csv_rows(out / "analysis.csv")
+            got = [float(row["r_deconvolved"]) for row in rows[:3]]
+            assert got == [expected(entry, override) for entry in entries[:3]]
+            assert len(set(got[:2])) == 2
 
 
 class TestBound:

@@ -1,17 +1,24 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _oracles import (block_product_state, direct_family_values,
-                      grid_search_max, sector_data)
-from afcdepth.depthbound import (BoundProblem, MixedBlockState, bound_curve,
-                                 certify_depth, family_contrast, family_p1,
-                                 family_p2, linear_bound, max_contrast,
+                      grid_search_max, multistart_max_contrast,
+                      p2_ceiling_loop, sector_data)
+from afcdepth.depthbound import (BoundProblem, MixedBlockState, _component_sp2,
+                                 _p2_ceiling, bound_curve, certify_depth,
+                                 family_contrast, family_p1, family_p2,
+                                 linear_bound, max_contrast,
                                  slaved_remainder_weight)
 from afcdepth.dicke import splus_sminus_matrix
 from afcdepth.errors import ContrastInconsistencyError
 
+REFERENCE_BOUND = Path(__file__).resolve().parents[1] / "perfbench" / "reference_bound.json"
 HEADLINE = dict(n_teeth=564, p1=3.5e-3, p2=2.6e-8)
 INTERCEPT = math.sqrt(2 * HEADLINE["p2"]) * HEADLINE["n_teeth"] / HEADLINE["p1"]
 
@@ -166,6 +173,79 @@ class TestMaxContrast:
         assert num_d / (prob.p1 + 2 * prob.p2) == pytest.approx(res.value, rel=1e-9)
 
 
+@st.composite
+def oracle_problems(draw):
+    """k = 1 and k >= 2 problems with P2 around P1^2, and capped-P2 ones
+    (P2 near P1 at large P1, beyond what the k >= 2 family reaches)."""
+    regime = draw(st.sampled_from(["k1", "k2", "capped"]))
+    if regime == "capped":
+        n = draw(st.integers(3, 60))
+        depth = draw(st.integers(1, n // 2))
+        p1 = draw(st.floats(0.4, 0.5))
+        return BoundProblem(n, depth, p1, p1 * draw(st.floats(0.8, 1.0)))
+    n = draw(st.integers(3, 200))
+    depth = draw(st.integers(n // 2 + 1, n - 1) if regime == "k1"
+                 else st.integers(1, n // 2))
+    p1 = 10 ** draw(st.floats(-3.5, -1.0))
+    return BoundProblem(n, depth, p1, min(p1, p1**2 * 10 ** draw(st.floats(-4.0, 0.5))))
+
+
+CAPPED = BoundProblem(11, 2, 0.39, 0.29)
+
+
+class TestActiveSetEvaluation:
+    def test_tail_ratio_strictly_decreasing(self):
+        # the evaluator takes the smallest feasible w because s/p2 falls in w;
+        # every M with k >= 2 for N <= 600 covers k' = 0 and slaved remainders
+        w = np.union1d(np.geomspace(1e-12, 0.5, 200), 1.0 - np.geomspace(1e-9, 0.5, 200))
+        for n in range(2, 601):
+            for depth in range(1, n // 2 + 1):
+                prob = BoundProblem(n, depth, 1e-3, 0.0)
+                s, p2 = _component_sp2(prob, prob.k, w)
+                live = p2 > 1e-300  # (1 - w)^(k - 2) underflows near w = 1
+                assert np.all(np.diff(s[live] / p2[live]) < 0), (n, depth)
+
+    @settings(max_examples=60, deadline=None)
+    @given(oracle_problems())
+    @example(CAPPED)
+    @example(BoundProblem(564, 563, 3.5e-3, 2.6e-8))  # interior k = 1 maximum
+    def test_matches_multistart_oracle(self, prob):
+        value = max_contrast(prob).value
+        oracle = multistart_max_contrast(prob)
+        if oracle is None:
+            return  # the search found no feasible state; any value beats it
+        assert value >= oracle - 1e-12 * abs(oracle), prob
+        assert value <= oracle + 1e-6 * abs(oracle), prob
+
+    def test_capped_budget_uses_loop_ceiling(self):
+        res = max_contrast(CAPPED)
+        ceiling = p2_ceiling_loop(CAPPED)
+        assert res.diagnostics.p2_target < CAPPED.p2
+        assert _p2_ceiling(CAPPED) == pytest.approx(ceiling, rel=1e-14)
+        assert res.diagnostics.p2_target == pytest.approx(ceiling * (1 - 1e-9), rel=1e-14)
+        assert family_p2(res.state, CAPPED) == pytest.approx(res.diagnostics.p2_target,
+                                                              rel=1e-10)
+
+    def test_recorded_reference_values(self):
+        problems = json.loads(REFERENCE_BOUND.read_text())["problems"]
+        checked = 0
+        for problem in problems:
+            n, p1, p2 = problem["n_teeth"], problem["p1"], problem["p2"]
+            for depth, ref in enumerate(problem["max_contrast"], start=1):
+                value = max_contrast(BoundProblem(n, depth, p1, p2)).value
+                assert ref - 1e-12 * abs(ref) <= value <= ref + 1e-6 * abs(ref), \
+                    (n, p1, p2, depth)
+                checked += 1
+        assert checked == 2068
+
+    def test_starts_and_seed_do_not_change_the_value(self):
+        for depth in (50, 229, 400, 563):
+            prob = headline_problem(depth)
+            values = {max_contrast(prob, n_starts=n, seed=seed).value
+                      for n, seed in ((0, 0), (8, 1), (200, 7))}
+            assert len(values) == 1, depth
+
+
 class TestOptimumStructure:
     def test_two_live_components_and_full_agreement(self):
         for prob in random_regime_instances(20):
@@ -230,6 +310,12 @@ class TestCertifyDepth:
         with pytest.raises(ContrastInconsistencyError):
             certify_depth(600.0, 0.0, **HEADLINE, n_starts=8)
 
+    @pytest.mark.parametrize("contrast,sigma", [(math.nan, 8.7), (math.inf, 8.7),
+                                                (256.7, math.nan), (256.7, math.inf)])
+    def test_non_finite_measurement_rejected(self, contrast, sigma):
+        with pytest.raises(ValueError):
+            certify_depth(contrast, sigma, **HEADLINE)
+
     def test_serialisable(self):
         res = certify_depth(40.0, 2.0, 100, 2e-3, 1e-8, n_starts=8)
         payload = res.to_dict()
@@ -276,6 +362,10 @@ class TestValidation:
             BoundProblem(10, 2, 1e-3, 2e-3)  # p2 > p1
         with pytest.raises(ValueError):
             BoundProblem(10, 2, 0.0, 0.0)
+        for p1, p2 in ((math.nan, 0.0), (1e-3, math.nan), (math.inf, 0.0),
+                       (1e-3, math.inf)):
+            with pytest.raises(ValueError):
+                BoundProblem(10, 2, p1, p2)
 
     def test_state_invariants(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -251,6 +252,25 @@ class TestHistogramIO:
         original = sweep_fixtures(seed=11)[0][1]
         assert np.array_equal(hist.counts, original.counts)
         assert hist.herald_index == original.herald_index
+
+    def test_csv_rejects_mismatched_sidecar(self, tmp_path):
+        manifest = write_fixture_files(tmp_path, seed=11)
+        entry = manifest["histograms"][0]
+        sidecar = tmp_path / entry["sidecar"]
+        meta = json.loads(sidecar.read_text())
+        meta["bin_width"] *= 1.001
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="bin_width"):
+            TimeHistogram.from_csv(tmp_path / entry["csv"], sidecar)
+
+    def test_csv_needs_two_columns(self, tmp_path):
+        manifest = write_fixture_files(tmp_path, seed=11)
+        entry = manifest["histograms"][0]
+        csv = tmp_path / entry["csv"]
+        counts = [line.split(",")[1] for line in csv.read_text().splitlines()[1:]]
+        csv.write_text("\n".join(counts) + "\n")
+        with pytest.raises(ValueError, match="two columns"):
+            TimeHistogram.from_csv(csv, tmp_path / entry["sidecar"])
 
     def test_histogram_invariants(self):
         with pytest.raises(ValueError):

@@ -232,6 +232,11 @@ class TestChannelModelValidation:
         with pytest.raises(ValueError):
             ChannelModel(mu=0.0, eta_a=0.1, eta_b=0.1, eta_w=0.1, eta_t=0.1)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_rejects_non_finite_mu(self, mu):
+        with pytest.raises(ValueError):
+            ChannelModel(mu=mu, eta_a=0.1, eta_b=0.1, eta_w=0.1, eta_t=0.1)
+
     def test_coincidence_bound(self):
         with pytest.raises(ValueError):
             CountRates(c_ab=10.0, s_a=5.0, s_b=20.0, tau_p=1e-9)
