@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .dicke import (ToothAmplitudes, dephased_contrast, single_excitation_contrast,
-                    splus_sminus_matrix, w_state)
+                    w_state)
 from .depthbound import (BoundProblem, DepthBoundResult, MixedBlockState,
                          bound_curve, certify_depth, family_contrast, family_p1,
                          family_p2, linear_bound, max_contrast)
@@ -16,8 +16,7 @@ from .echosim import (CombSpec, EmissionTrace, PhotonSpectrum, absorb,
 from .photonstats import (ChannelModel, CountRates, ExcitationProbabilities,
                           estimate_etas, estimate_mu_from_g2,
                           excitation_probabilities, g2_from_probabilities,
-                          monte_carlo_excitations, thermal_weight,
-                          write_efficiency)
+                          thermal_weight, write_efficiency)
 from .spectroscopy import (TM_LINBO3, MaterialParams,
                            atoms_per_tooth_from_absorption,
                            atoms_per_tooth_from_single_ion)
@@ -25,11 +24,11 @@ from .spectroscopy import (TM_LINBO3, MaterialParams,
 __all__ = [
     "__version__",
     "ToothAmplitudes", "w_state", "single_excitation_contrast",
-    "dephased_contrast", "splus_sminus_matrix",
+    "dephased_contrast",
     "CombSpec", "PhotonSpectrum", "EmissionTrace", "absorb", "emission_trace",
     "simulated_contrast", "sweep_contrast_vs_teeth", "load_comb_trace",
     "ChannelModel", "CountRates", "ExcitationProbabilities", "thermal_weight",
-    "excitation_probabilities", "monte_carlo_excitations", "estimate_mu_from_g2",
+    "excitation_probabilities", "estimate_mu_from_g2",
     "estimate_etas", "write_efficiency", "g2_from_probabilities",
     "BoundProblem", "MixedBlockState", "DepthBoundResult", "family_contrast",
     "family_p1", "family_p2", "max_contrast", "linear_bound", "certify_depth",

@@ -70,9 +70,23 @@ def _fmt(value):
 def _load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _fields(entry, keys, what):
+    """entry[key] for each key; ConfigError naming ``what`` when entry is not
+    a JSON object or lacks a key."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in entry:
+            raise ConfigError(f"{what} missing key {key!r}")
+    return [entry[key] for key in keys]
 
 
 def _comb_from_entry(entry) -> CombSpec:
@@ -171,11 +185,11 @@ def _cmd_pstats(args) -> int:
     return 0
 
 
-def _analyze_one(label, hist, detector_fwhm, args):
+def _analyze_one(hist, detector_fwhm, subtract, deconvolve):
+    """Fit the echo and report its raw and corrected contrast."""
     fit = fit_echo(hist)
     r_raw, s_raw = echo_contrast(fit)
     report = {
-        "label": label,
         "amplitude": fit.amplitude,
         "t0": fit.t0,
         "fwhm": fit.fwhm,
@@ -186,10 +200,9 @@ def _analyze_one(label, hist, detector_fwhm, args):
         "sigma_raw": s_raw,
     }
     r, s = r_raw, s_raw
-    if args.subtract_background or args.deconvolve:
-        r, s = echo_contrast(fit, subtract_background=args.subtract_background,
-                             deconvolve=args.deconvolve,
-                             detector_fwhm=detector_fwhm)
+    if subtract or deconvolve:
+        r, s = echo_contrast(fit, subtract_background=subtract,
+                             deconvolve=deconvolve, detector_fwhm=detector_fwhm)
     report["r"] = r
     report["sigma"] = s
     return report
@@ -203,11 +216,13 @@ def _cmd_analyze(args) -> int:
         manifest = _load_json(args.batch)
         base = Path(args.batch).parent
         items = []
-        for entry in manifest["histograms"]:
-            hist, det = TimeHistogram.from_csv(base / entry["csv"],
-                                               base / entry["sidecar"])
-            items.append((entry["label"], hist, det))
-            inputs.extend([base / entry["csv"], base / entry["sidecar"]])
+        histograms, = _fields(manifest, ["histograms"], "batch manifest")
+        for entry in histograms:
+            label, csv_name, sidecar_name = _fields(
+                entry, ["label", "csv", "sidecar"], "batch manifest entry")
+            hist, det = TimeHistogram.from_csv(base / csv_name, base / sidecar_name)
+            items.append((label, hist, det))
+            inputs.extend([base / csv_name, base / sidecar_name])
         inputs.append(args.batch)
         prov = _provenance(inputs, {"subtract_background": args.subtract_background,
                                     "deconvolve": args.deconvolve,
@@ -232,7 +247,9 @@ def _cmd_analyze(args) -> int:
                        {"subtract_background": args.subtract_background,
                         "deconvolve": args.deconvolve,
                         "detector_fwhm": detector}, args.seed)
-    report = _analyze_one(Path(args.histogram).stem, hist, detector, args)
+    report = {"label": Path(args.histogram).stem,
+              **_analyze_one(hist, detector, args.subtract_background,
+                             args.deconvolve)}
     _write_json(outdir / "analysis.json", report, prov)
     return 0
 
@@ -244,26 +261,19 @@ def _curve_depths(n_teeth: int, points: int = 25):
 
 def _cmd_bound(args) -> int:
     cfg = _load_json(args.config)
-    try:
-        contrast = float(cfg["R"])
-        sigma = float(cfg.get("sigma_R", 0.0))
-        n_teeth = int(cfg["N"])
-        p1 = float(cfg["P1"])
-        p2 = float(cfg["P2"])
-    except KeyError as exc:
-        raise ConfigError(f"bound config missing key {exc}") from None
+    contrast, n_teeth, p1, p2 = _fields(cfg, ["R", "N", "P1", "P2"], "bound config")
+    contrast, n_teeth, p1, p2 = float(contrast), int(n_teeth), float(p1), float(p2)
+    sigma = float(cfg.get("sigma_R", 0.0))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     prov = _provenance([args.config], cfg, args.seed)
 
-    result = certify_depth(contrast, sigma, n_teeth, p1, p2,
-                           n_starts=args.starts, seed=args.seed)
+    result = certify_depth(contrast, sigma, n_teeth, p1, p2)
     payload = result.to_dict()
     payload["linear_bound"] = linear_bound(contrast, n_teeth, p1, p2)
     _write_json(outdir / "bound.json", payload, prov)
     if args.curve:
-        rows = bound_curve(n_teeth, p1, p2, _curve_depths(n_teeth),
-                           n_starts=args.starts, seed=args.seed)
+        rows = bound_curve(n_teeth, p1, p2, _curve_depths(n_teeth))
         _write_csv(outdir / "bound_curve.csv", ["depth", "max_contrast"], rows, prov)
     return 0
 
@@ -295,14 +305,13 @@ def _cmd_pipeline(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    try:
-        channel_path = base / cfg["channel_config"]
-        hist_cfg = cfg["histogram"]
-        n_teeth = int(cfg["n_teeth"])
-    except KeyError as exc:
-        raise ConfigError(f"pipeline config missing key {exc}") from None
-    csv_path = base / hist_cfg["csv"]
-    sidecar_path = base / hist_cfg["sidecar"]
+    channel_name, hist_cfg, n_teeth = _fields(
+        cfg, ["channel_config", "histogram", "n_teeth"], "pipeline config")
+    n_teeth = int(n_teeth)
+    csv_name, sidecar_name = _fields(hist_cfg, ["csv", "sidecar"], "pipeline histogram")
+    channel_path = base / channel_name
+    csv_path = base / csv_name
+    sidecar_path = base / sidecar_name
     inputs = [args.config, channel_path, csv_path, sidecar_path]
     prov = _provenance(inputs, cfg, args.seed)
 
@@ -310,23 +319,19 @@ def _cmd_pipeline(args) -> int:
     probs = excitation_probabilities(channel, r_max=4, stats_model=stats_model)
 
     hist, detector = TimeHistogram.from_csv(csv_path, sidecar_path)
-    fit = fit_echo(hist)
     subtract = bool(cfg.get("subtract_background", True))
     deconvolve = bool(cfg.get("deconvolve", True))
-    contrast, sigma = echo_contrast(fit, subtract_background=subtract,
-                                    deconvolve=deconvolve, detector_fwhm=detector)
+    report = _analyze_one(hist, detector, subtract, deconvolve)
 
-    starts = int(cfg.get("starts", args.starts))
-    result = certify_depth(contrast, sigma, n_teeth, probs[1], probs[2],
-                           n_starts=starts, seed=args.seed)
+    result = certify_depth(report["r"], report["sigma"], n_teeth, probs[1], probs[2])
 
     pstats_payload = {"mu": channel.mu, "p1": probs[1], "p2": probs[2],
                       "stats_model": stats_model,
                       "truncation_error": probs.truncation_error}
-    analysis_payload = {"r": contrast, "sigma": sigma, "amplitude": fit.amplitude,
-                        "fwhm": fit.fwhm, "background": fit.background,
-                        "window_average": fit.window_average,
-                        "subtract_background": subtract, "deconvolve": deconvolve}
+    analysis_payload = {key: report[key] for key in
+                        ("r", "sigma", "amplitude", "fwhm", "background",
+                         "window_average")}
+    analysis_payload.update(subtract_background=subtract, deconvolve=deconvolve)
     _write_json(outdir / "pstats.json", pstats_payload, prov)
     _write_json(outdir / "analysis.json", analysis_payload, prov)
     _write_json(outdir / "bound.json", result.to_dict(), prov)
@@ -376,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bd = sub.add_parser("bound", help="certify an entanglement-depth lower bound")
     p_bd.add_argument("--config", required=True,
                       help="JSON with R, sigma_R, N, P1, P2")
-    p_bd.add_argument("--starts", type=int, default=200)
     p_bd.add_argument("--curve", action="store_true",
                       help="also write a (depth, max contrast) curve")
     common(p_bd)
@@ -394,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pl = sub.add_parser("pipeline", help="pstats -> analyze -> bound")
     p_pl.add_argument("--config", required=True)
-    p_pl.add_argument("--starts", type=int, default=200)
     common(p_pl)
     p_pl.set_defaults(func=_cmd_pipeline)
     return parser

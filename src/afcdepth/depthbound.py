@@ -8,13 +8,13 @@ measured single- and two-excitation probabilities (P1, P2) yields max_R(M);
 the certified depth is the smallest M whose max_R reaches the measured value.
 
 max_R(M) is evaluated exactly and deterministically on the two-component
-reduced family (the numerically observed optimum structure).  Eliminating the
-constraints leaves one free excitation weight, and the optimum sits on a known
-constraint boundary: for k = N // M >= 2 the smallest feasible tail weight,
-found by root solves on the three constraints; for k = 1 the q = 1 boundary
-(a quadratic root) or an interior maximum found by a bounded search.  A full
-multi-start SLSQP solver over all component weights (mode 'full', the only
-user of ``n_starts`` and ``seed``) verifies that structure.
+reduced family, which attains the optimum over all component weights.
+Eliminating the constraints leaves one free excitation weight, and the
+optimum sits on a known constraint boundary: for k = N // M >= 2 the smallest
+feasible tail weight, found by root solves on the three constraints; for
+k = 1 the q = 1 boundary (a quadratic root) or an interior maximum found by a
+bounded search.  The evaluation has no settable knobs; the multi-start
+solvers that verify it live with the tests.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from scipy import optimize
 from .errors import ContrastInconsistencyError, InfeasibleBoundError
 
 _REL_TOL = 1e-12
-_CONSTRAINT_TOL = 1e-10
 # tail weights at which the two-excitation ceiling is sampled
 _CEILING_GRID = np.linspace(1e-6, 1.0 - 1e-6, 2000)
 # tail weights whose constraint signs bracket the reduced family's smallest
@@ -153,38 +152,6 @@ def _component_terms(prob: BoundProblem, i: int, w: float, v: float | None = Non
     return s, p2, amp * amp
 
 
-def _component_terms_d(prob: BoundProblem, i: int, w: float):
-    """As ``_component_terms`` (slaved remainder) plus d/dw of each value."""
-    m, n, k, kp = prob.depth, prob.n_teeth, prob.k, prob.k_prime
-    one = 1.0 - w
-    if i < k or kp == 0:
-        s = i * w * one ** (i - 1)
-        ds = 1.0 if i == 1 else i * one ** (i - 2) * (1.0 - i * w)
-        if i >= 2:
-            p2 = 0.5 * i * (i - 1) * w * w * one ** (i - 2)
-            dp2 = 2.0 * w if i == 2 else 0.5 * i * (i - 1) * w * one ** (i - 3) * (2.0 - i * w)
-        else:
-            p2, dp2 = 0.0, 0.0
-        return s, p2, m * i * s, ds, dp2, m * i * ds
-    rho = kp / m
-    den = 1.0 - w * (1.0 - rho)
-    v = rho * w / den
-    dv = rho / (den * den)
-    a = w * one ** (k - 1)
-    da = one ** (k - 2) * (1.0 - k * w)
-    c = one**k
-    dc = -k * one ** (k - 1)
-    s = k * a * (1.0 - v) + v * c
-    ds = k * (da * (1.0 - v) - a * dv) + dv * c + v * dc
-    hk = 0.5 * k * (k - 1)
-    b = w * w * one ** (k - 2)
-    db = 2.0 * w if k == 2 else w * one ** (k - 3) * (2.0 - k * w)
-    p2 = hk * b * (1.0 - v) + k * a * v
-    dp2 = hk * (db * (1.0 - v) - b * dv) + k * (da * v + a * dv)
-    # with the slaved remainder the component's numerator is exactly N * s
-    return s, p2, n * s, ds, dp2, n * ds
-
-
 def _state_sums(state: MixedBlockState, prob: BoundProblem):
     if state.weights.size != prob.k:
         raise ValueError(f"state has {state.weights.size} components, expected k={prob.k}")
@@ -215,11 +182,9 @@ def family_contrast(state: MixedBlockState, prob: BoundProblem) -> float:
 
 @dataclass
 class SolverDiagnostics:
-    """Bookkeeping of one max-contrast solve."""
+    """Bookkeeping of one max-contrast evaluation."""
 
-    mode: str
-    n_starts: int
-    start_objectives: list = field(default_factory=list)
+    mode: str = "active_set"
     best_objective: float = math.nan
     constraint_residuals: tuple = (math.nan, math.nan)
     active_constraints: list = field(default_factory=list)
@@ -397,9 +362,9 @@ def _k1_max(prob: BoundProblem, p2_target: float):
     return best
 
 
-def _reduced_max(prob: BoundProblem, p2_target: float, n_starts: int):
+def _reduced_max(prob: BoundProblem, p2_target: float):
     """Maximum contrast over the two-live-component (reduced) family."""
-    diag = SolverDiagnostics(mode="reduced", n_starts=n_starts, p2_target=p2_target)
+    diag = SolverDiagnostics(p2_target=p2_target)
 
     if p2_target <= 0.0:
         state = _vacuum_state(prob)
@@ -448,107 +413,7 @@ def _active_constraints(state: MixedBlockState):
     return active
 
 
-def _embed_reduced(state: MixedBlockState) -> np.ndarray:
-    return np.concatenate([state.weights, state.beta_sq])
-
-
-def _full_max(prob: BoundProblem, p2_target: float, n_starts: int, seed: int,
-              reduced: MaxContrastResult):
-    """Multi-start SLSQP over all k weights and k excitation weights."""
-    k = prob.k
-    norm = (prob.p1 + 2.0 * prob.p2) * prob.n_teeth
-    diag = SolverDiagnostics(mode="full", n_starts=n_starts, p2_target=p2_target)
-
-    memo = {"key": None, "vals": None}
-
-    def _terms(z):
-        # SLSQP queries objective/constraints/jacobians separately per
-        # iterate; memoise the shared component sweep on the current z
-        key = z.tobytes()
-        if memo["key"] != key:
-            q, w = z[:k], z[k:]
-            val = s_tot = p2_tot = 0.0
-            grad = np.zeros(2 * k)
-            js = np.zeros(2 * k)
-            jp = np.zeros(2 * k)
-            for i in range(k):
-                s, p2, r, ds, dp2, dr = _component_terms_d(prob, i + 1, float(w[i]))
-                val += q[i] * r
-                s_tot += q[i] * s
-                p2_tot += q[i] * p2
-                grad[i], grad[k + i] = -r / norm, -q[i] * dr / norm
-                js[i], js[k + i] = s, q[i] * ds
-                jp[i], jp[k + i] = p2, q[i] * dp2
-            memo["key"] = key
-            memo["vals"] = (val, grad, s_tot, p2_tot, js, jp)
-        return memo["vals"]
-
-    def objective(z):
-        val, grad, *_ = _terms(z)
-        return -val / norm, grad
-
-    def constraint_vals(z):
-        _, _, s_tot, p2_tot, js, jp = _terms(z)
-        return s_tot, p2_tot, js, jp
-
-    def c1(z):
-        s_tot, _, _, _ = constraint_vals(z)
-        return s_tot / prob.p1 - 1.0
-
-    def c1_jac(z):
-        _, _, js, _ = constraint_vals(z)
-        return js / prob.p1
-
-    def c2(z):
-        _, p2_tot, _, _ = constraint_vals(z)
-        return p2_tot / p2_target - 1.0
-
-    def c2_jac(z):
-        _, _, _, jp = constraint_vals(z)
-        return jp / p2_target
-
-    cons = [
-        {"type": "eq", "fun": lambda z: z[:k].sum() - 1.0,
-         "jac": lambda z: np.concatenate([np.ones(k), np.zeros(k)])},
-        {"type": "eq", "fun": c1, "jac": c1_jac},
-        {"type": "eq", "fun": c2, "jac": c2_jac},
-    ]
-    bounds = [(0.0, 1.0)] * (2 * k)
-
-    rng = np.random.default_rng(seed)
-    starts = [_embed_reduced(reduced.state)]
-    for j in range(n_starts):
-        q0 = rng.dirichlet(np.ones(k))
-        if j % 2 == 0:
-            w0 = rng.uniform(0.0, 1.0, size=k)
-        else:
-            w0 = 10.0 ** rng.uniform(-8.0, 0.0, size=k)
-        starts.append(np.concatenate([q0, w0]))
-
-    best_val, best_z = reduced.value, _embed_reduced(reduced.state)
-    for z0 in starts:
-        res = optimize.minimize(objective, z0, jac=True, method="SLSQP",
-                                bounds=bounds, constraints=cons,
-                                options={"maxiter": 400, "ftol": 1e-14})
-        z = np.clip(res.x, 0.0, 1.0)
-        r1, r2 = abs(c1(z)), abs(c2(z))
-        val = -objective(z)[0] * prob.n_teeth
-        diag.start_objectives.append(val if res.success else -math.inf)
-        if r1 <= _CONSTRAINT_TOL and r2 <= _CONSTRAINT_TOL and val > best_val:
-            best_val, best_z = val, z
-
-    q, w = best_z[:k], best_z[k:]
-    state = MixedBlockState(weights=q / q.sum(), beta_sq=w)
-    s, p2, _ = _state_sums(state, prob)
-    diag.best_objective = best_val
-    diag.constraint_residuals = (abs(s - prob.p1) / prob.p1,
-                                 abs(p2 - p2_target) / p2_target)
-    diag.active_constraints = _active_constraints(state)
-    return MaxContrastResult(best_val, state, diag)
-
-
-def max_contrast(prob: BoundProblem, n_starts: int = 200, seed: int = 0,
-                 mode: str = "auto") -> MaxContrastResult:
+def max_contrast(prob: BoundProblem) -> MaxContrastResult:
     """Largest echo contrast any depth-M state of the family can produce.
 
     The two-excitation budget is capped at what the family can reach (the
@@ -556,36 +421,24 @@ def max_contrast(prob: BoundProblem, n_starts: int = 200, seed: int = 0,
     budget is always optimal, so the constraint holds with equality whenever
     attainable, to relative residual 1e-10.
 
-    mode 'auto' evaluates the reduced two-component family: placing the
-    whole two-excitation budget on the largest component dominates any
-    split (Cauchy-Schwarz on the component weights), so the reduced family
-    attains the global optimum.  The evaluation is deterministic: an exact
-    active-set solve (the smallest feasible tail weight for k >= 2, the
-    q = 1 roots plus a bounded search for k = 1), so ``n_starts`` and
-    ``seed`` do not change it.  The 'full' mode optimises all k weights with
-    multi-start SLSQP, driven by ``n_starts`` and ``seed``, and exists to
-    verify that structure.
+    The reduced two-component family is evaluated: placing the whole
+    two-excitation budget on the largest component dominates any split
+    (Cauchy-Schwarz on the component weights), so the reduced family attains
+    the global optimum.  The evaluation is an exact, deterministic
+    active-set solve: the smallest feasible tail weight for k >= 2, the
+    q = 1 roots plus a bounded search for k = 1.
     """
-    if mode not in ("auto", "reduced", "full"):
-        raise ValueError("mode must be auto, reduced, or full")
     if prob.p2 <= 0 or (prob.k == 1 and prob.k_prime == 0):
         # a single full-size block never holds two excitations; capping the
         # budget at zero only enlarges the feasible set, keeping bounds valid
-        p2_target = 0.0
-        reduced = _reduced_max(prob, p2_target, n_starts)
-    else:
-        p2_target = prob.p2
-        try:
-            reduced = _reduced_max(prob, p2_target, n_starts)
-        except InfeasibleBoundError:
-            ceiling = _p2_ceiling(prob)
-            if ceiling <= 0:
-                raise
-            p2_target = min(prob.p2, ceiling * (1.0 - 1e-9))
-            reduced = _reduced_max(prob, p2_target, n_starts)
-    if mode != "full" or prob.k == 1 or p2_target == 0.0:
-        return reduced
-    return _full_max(prob, p2_target, n_starts, seed, reduced)
+        return _reduced_max(prob, 0.0)
+    try:
+        return _reduced_max(prob, prob.p2)
+    except InfeasibleBoundError:
+        ceiling = _p2_ceiling(prob)
+        if ceiling <= 0:
+            raise
+        return _reduced_max(prob, min(prob.p2, ceiling * (1.0 - 1e-9)))
 
 
 def linear_bound(contrast: float, n_teeth: int, p1: float, p2: float) -> float:
@@ -624,7 +477,6 @@ class DepthBoundResult:
             "p2": self.p2,
             "solver": {
                 "mode": self.diagnostics.mode,
-                "n_starts": self.diagnostics.n_starts,
                 "best_objective": self.diagnostics.best_objective,
                 "constraint_residuals": list(self.diagnostics.constraint_residuals),
                 "active_constraints": self.diagnostics.active_constraints,
@@ -634,14 +486,14 @@ class DepthBoundResult:
 
 
 def certify_depth(contrast: float, sigma: float, n_teeth: int, p1: float,
-                  p2: float, n_starts: int = 200, seed: int = 0) -> DepthBoundResult:
+                  p2: float) -> DepthBoundResult:
     """Smallest depth M whose max contrast reaches the measured value.
 
     Bisection over integer M (max contrast is non-decreasing in M); the
     interval entries come from repeating the search at contrast -/+ sigma.
     Each max_R(M) is the deterministic active-set evaluation of
-    ``max_contrast``, so ``n_starts`` and ``seed`` only echo into the
-    diagnostics.
+    ``max_contrast``, cached per M, so a certificate depends only on its
+    inputs; the diagnostics are those of max_R(m_lower).
     """
     if not (math.isfinite(contrast) and math.isfinite(sigma)):
         raise ValueError("contrast and sigma must be finite")
@@ -657,8 +509,7 @@ def certify_depth(contrast: float, sigma: float, n_teeth: int, p1: float,
 
     def mr(m: int) -> MaxContrastResult:
         if m not in cache:
-            cache[m] = max_contrast(BoundProblem(n_teeth, m, p1, p2),
-                                    n_starts=n_starts, seed=seed)
+            cache[m] = max_contrast(BoundProblem(n_teeth, m, p1, p2))
         return cache[m]
 
     def reaches(m: int, r: float) -> bool:
@@ -695,12 +546,7 @@ def certify_depth(contrast: float, sigma: float, n_teeth: int, p1: float,
         diagnostics=best.diagnostics, evaluations=len(cache))
 
 
-def bound_curve(n_teeth: int, p1: float, p2: float, depths, n_starts: int = 200,
-                seed: int = 0):
+def bound_curve(n_teeth: int, p1: float, p2: float, depths):
     """Rows (M, max contrast) for each candidate depth, sorted by M."""
-    rows = []
-    for m in sorted(set(int(m) for m in depths)):
-        res = max_contrast(BoundProblem(n_teeth, m, p1, p2),
-                           n_starts=n_starts, seed=seed)
-        rows.append((m, res.value))
-    return rows
+    return [(m, max_contrast(BoundProblem(n_teeth, m, p1, p2)).value)
+            for m in sorted(set(int(m) for m in depths))]

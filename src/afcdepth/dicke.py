@@ -6,8 +6,9 @@ carrying the remaining weight.  The echo contrast of such a state is
 |sum_j c_j|^2 / sum_j |c_j|^2, which reaches the tooth count N only for the
 fully symmetric (W) state.
 
-A small-system full-Hilbert-space oracle (``splus_sminus_matrix``) is provided
-for exhaustive checks; production paths never build 2^M matrices.
+Everything here works on the N amplitudes of the single-excitation sector;
+nothing builds 2^M state vectors or matrices (the dense S+S- oracle that
+checks the sector algebra lives with the tests).
 """
 
 from __future__ import annotations
@@ -15,11 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import CapacityError
-
-# Dense 2^M oracle cap: 16384-dim matrices keep tests in seconds.
-FULL_SPACE_MAX_QUBITS = 14
 
 _NORM_TOL = 1e-9
 
@@ -88,54 +84,3 @@ def dephased_contrast(c, phases) -> float:
     if phi.size != amps.size:
         raise ValueError(f"got {phi.size} phases for {amps.size} teeth")
     return single_excitation_contrast(amps * np.exp(1j * phi))
-
-
-def excitation_number(index: int) -> int:
-    """Number of excited teeth in a computational-basis index (popcount)."""
-    return bin(index).count("1")
-
-
-def sector_indices(n_qubits: int, n_excitations: int) -> np.ndarray:
-    """Basis indices of the fixed-excitation-number sector."""
-    idx = [i for i in range(2**n_qubits) if excitation_number(i) == n_excitations]
-    return np.asarray(idx, dtype=np.intp)
-
-
-def w_ket(n_qubits: int) -> np.ndarray:
-    """Full 2^M state vector of the symmetric single-excitation state."""
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
-    if n_qubits > FULL_SPACE_MAX_QUBITS:
-        raise CapacityError(f"full-space ket capped at {FULL_SPACE_MAX_QUBITS} qubits")
-    psi = np.zeros(2**n_qubits, dtype=complex)
-    psi[sector_indices(n_qubits, 1)] = 1.0 / np.sqrt(n_qubits)
-    return psi
-
-
-def splus_sminus_matrix(n_qubits: int) -> np.ndarray:
-    """Dense matrix of S+ S- in the full 2^M computational basis.
-
-    S- = sum_j |0><1|_j lowers one excitation; the product is Hermitian and
-    positive semidefinite.  Restricted to the single-excitation sector its
-    spectrum is {M, 0, ..., 0} with the symmetric state as the only
-    non-null eigenvector.
-
-    Built entry-wise: S+S-|y> = sum over excited bits l of y and free bits j
-    of |y - l + j>, so <x|S+S-|y> counts the (l, j) transfer paths.
-    """
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
-    if n_qubits > FULL_SPACE_MAX_QUBITS:
-        raise CapacityError(
-            f"{n_qubits} qubits exceeds the {FULL_SPACE_MAX_QUBITS}-qubit dense cap"
-        )
-    dim = 2**n_qubits
-    mat = np.zeros((dim, dim), dtype=complex)
-    for y in range(dim):
-        excited = [l for l in range(n_qubits) if y & (1 << l)]
-        for l in excited:
-            z = y & ~(1 << l)
-            for j in range(n_qubits):
-                if not z & (1 << j):
-                    mat[z | (1 << j), y] += 1.0
-    return mat

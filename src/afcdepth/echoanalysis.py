@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .errors import DeconvolutionError, LowSignalError
+from .errors import ConfigError, DeconvolutionError, LowSignalError
 
 DETECTOR_FWHM_DEFAULT = 354e-12
 
@@ -71,15 +71,21 @@ class TimeHistogram:
                              f"found {data.shape[1]}")
         with open(sidecar_path) as fh:
             meta = json.load(fh)
-        bin_width = float(meta["bin_width"])
+        if not isinstance(meta, dict):
+            raise ConfigError(f"{sidecar_path}: sidecar must be a JSON object")
+        try:
+            bin_width = float(meta["bin_width"])
+            herald_index = int(meta["herald_index"])
+            storage_time = float(meta["storage_time"])
+        except KeyError as exc:
+            raise ConfigError(f"{sidecar_path}: sidecar missing key {exc}") from None
         expected = np.arange(data.shape[0]) * bin_width
         if not np.allclose(data[:, 0], expected, rtol=1e-9, atol=1e-9 * bin_width):
             raise ValueError(f"{csv_path}: bin starts are not multiples of the "
                              f"sidecar's bin_width {bin_width!r}")
         hist = cls(bin_width=bin_width,
                    counts=np.round(data[:, 1]).astype(np.int64),
-                   herald_index=int(meta["herald_index"]),
-                   storage_time=float(meta["storage_time"]))
+                   herald_index=herald_index, storage_time=storage_time)
         return hist, float(meta.get("detector_fwhm", DETECTOR_FWHM_DEFAULT))
 
 

@@ -9,10 +9,6 @@ class ToolkitError(Exception):
     """Base class for toolkit-specific failures."""
 
 
-class CapacityError(ToolkitError):
-    """A full-Hilbert-space operation was requested beyond its size cap."""
-
-
 class LowSignalError(ToolkitError):
     """An echo fit did not converge or the amplitude is not significant."""
 

@@ -6,19 +6,19 @@ the comb (eta_b), absorption (eta_w), and conditioning on no click behind the
 comb (transmission-detection efficiency eta_t).  The result is the probability
 P_r that exactly r photons were absorbed.
 
-Also hosts the count-rate estimators for mu and the channel efficiencies, and
-a seedable Monte-Carlo simulation of the same channel used as an independent
-cross-check of the analytic chain.
+Also hosts the count-rate estimators for mu and the channel efficiencies.
+The analytic chain is cross-checked against a Monte-Carlo simulation of the
+same channel that lives with the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from ._keyvalue import read_key_values
 from .errors import ConfigError
 
 _REL_TERM_TOL = 1e-15
@@ -178,38 +178,6 @@ def excitation_probabilities(ch: ChannelModel, r_max: int = 4,
     return ExcitationProbabilities(p=out, truncation_error=truncation)
 
 
-def monte_carlo_excitations(ch: ChannelModel, trials: int, seed: int = 0,
-                            r_max: int = 4):
-    """Monte-Carlo channel simulation; returns (counts[r], accepted trials).
-
-    Each trial draws n >= 1 pairs from the thermal distribution (n = 0 never
-    heralds), thins the herald arm photon-by-photon, splits the comb-arm
-    photons into absorbed / transmitted-detected / lost, and keeps the trial
-    when the herald fired and the transmitted mode stayed silent.
-    """
-    rng = np.random.default_rng(seed)
-    counts = np.zeros(r_max + 1, dtype=np.int64)
-    accepted = 0
-    p_abs = ch.absorbed_fraction
-    p_det = ch.eta_b * (1.0 - ch.eta_w) * ch.eta_t
-    chunk = 2_000_000
-    remaining = trials
-    while remaining > 0:
-        size = min(chunk, remaining)
-        remaining -= size
-        # thermal conditioned on n >= 1 is geometric with p = 1/(1+mu)
-        n = rng.geometric(1.0 / (1.0 + ch.mu), size=size)
-        heralded = rng.binomial(n, ch.eta_a) >= 1
-        absorbed = rng.binomial(n, p_abs)
-        rest = n - absorbed
-        t_clicks = rng.binomial(rest, p_det / (1.0 - p_abs))
-        keep = heralded & (t_clicks == 0)
-        accepted += int(keep.sum())
-        kept_r = np.minimum(absorbed[keep], r_max)
-        counts += np.bincount(kept_r, minlength=r_max + 1)
-    return counts, accepted
-
-
 def estimate_mu_from_g2(g2_ab: float) -> float:
     """Mean pair number from the cross-correlation: mu = 1/g2 for g2 >> 1."""
     if g2_ab <= 10.0:
@@ -282,25 +250,10 @@ def load_channel_config(path):
     eta_b_star, eta_ci (eta_b = eta_b_star * eta_ci).  Optional stats_model.
     Lines are ``key = value``; '#' starts a comment.
     """
-    values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in _CHANNEL_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = val.strip()
-    stats_model = values.pop("stats_model", "thermal")
+    numbers = read_key_values(path, _CHANNEL_KEYS, text_keys=("stats_model",))
+    stats_model = numbers.pop("stats_model", "thermal")
     if stats_model not in ("thermal", "poisson"):
         raise ConfigError(f"stats_model must be thermal or poisson, got {stats_model}")
-    try:
-        numbers = {k: float(v) for k, v in values.items()}
-    except ValueError as exc:
-        raise ConfigError(f"{path}: non-numeric value ({exc})") from None
     if "eta_b" in numbers:
         eta_b = numbers["eta_b"]
     else:

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
-
 from scipy.constants import c as _C_M_PER_S
 
-from .errors import ConfigError
+from ._keyvalue import read_key_values
 
 _C_CM_PER_S = _C_M_PER_S * 100.0
 
@@ -37,8 +35,9 @@ class MaterialParams:
     def __post_init__(self):
         for name in ("n_d", "n", "gamma_h", "gamma_s", "alpha_integral",
                      "length", "area", "nu"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            val = getattr(self, name)
+            if not math.isfinite(val) or val <= 0:
+                raise ValueError(f"{name}={val} must be positive and finite")
         if self.gamma_h < self.gamma_s:
             raise ValueError("homogeneous linewidth below the radiative rate")
 
@@ -104,19 +103,4 @@ _MATERIAL_KEYS = {
 
 def load_material_config(path) -> MaterialParams:
     """Key-value material file; unspecified keys fall back to the preset."""
-    overrides = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in _MATERIAL_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            overrides[key] = float(val)
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: non-numeric value") from None
-    return replace(TM_LINBO3, **overrides)
+    return replace(TM_LINBO3, **read_key_values(path, _MATERIAL_KEYS))

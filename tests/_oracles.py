@@ -1,8 +1,11 @@
 """Independent reference implementations used to cross-check the fast paths.
 
-Everything here favours brute force over cleverness: explicit tensor-product
-state vectors, Monte-Carlo sampling of tooth detunings, and dense grid
-searches.  Tests compare the production code against these.
+Everything here favours brute force over cleverness: the dense 2^M S+S-
+matrix and explicit tensor-product state vectors, dense grid and multi-start
+searches for max_R(M) (the full SLSQP solver over all component weights
+among them), Monte-Carlo sampling of the photon channel and of tooth
+detunings.  Tests compare the production code against these; none of it
+ships in the library.
 """
 
 from __future__ import annotations
@@ -13,9 +16,67 @@ import numpy as np
 
 from scipy import optimize
 
-from afcdepth.depthbound import BoundProblem, MixedBlockState
-from afcdepth.dicke import w_ket
+from afcdepth.depthbound import (BoundProblem, MaxContrastResult, MixedBlockState,
+                                 SolverDiagnostics, _active_constraints,
+                                 _state_sums, max_contrast)
 from afcdepth.echosim import CombSpec
+from afcdepth.photonstats import ChannelModel
+
+# Dense 2^M oracle cap: 16384-dim matrices keep tests in seconds.
+FULL_SPACE_MAX_QUBITS = 14
+# SLSQP optimum accepted when both equality constraints hold to this
+_CONSTRAINT_TOL = 1e-10
+
+
+def excitation_number(index: int) -> int:
+    """Number of excited teeth in a computational-basis index (popcount)."""
+    return bin(index).count("1")
+
+
+def sector_indices(n_qubits: int, n_excitations: int) -> np.ndarray:
+    """Basis indices of the fixed-excitation-number sector."""
+    idx = [i for i in range(2**n_qubits) if excitation_number(i) == n_excitations]
+    return np.asarray(idx, dtype=np.intp)
+
+
+def _check_dense_size(n_qubits: int):
+    if n_qubits < 1:
+        raise ValueError("n_qubits must be >= 1")
+    if n_qubits > FULL_SPACE_MAX_QUBITS:
+        raise ValueError(
+            f"{n_qubits} qubits exceeds the {FULL_SPACE_MAX_QUBITS}-qubit dense cap")
+
+
+def w_ket(n_qubits: int) -> np.ndarray:
+    """Full 2^M state vector of the symmetric single-excitation state."""
+    _check_dense_size(n_qubits)
+    psi = np.zeros(2**n_qubits, dtype=complex)
+    psi[sector_indices(n_qubits, 1)] = 1.0 / np.sqrt(n_qubits)
+    return psi
+
+
+def splus_sminus_matrix(n_qubits: int) -> np.ndarray:
+    """Dense matrix of S+ S- in the full 2^M computational basis.
+
+    S- = sum_j |0><1|_j lowers one excitation; the product is Hermitian and
+    positive semidefinite.  Restricted to the single-excitation sector its
+    spectrum is {M, 0, ..., 0} with the symmetric state as the only
+    non-null eigenvector.
+
+    Built entry-wise: S+S-|y> = sum over excited bits l of y and free bits j
+    of |y - l + j>, so <x|S+S-|y> counts the (l, j) transfer paths.
+    """
+    _check_dense_size(n_qubits)
+    dim = 2**n_qubits
+    mat = np.zeros((dim, dim), dtype=complex)
+    for y in range(dim):
+        excited = [l for l in range(n_qubits) if y & (1 << l)]
+        for l in excited:
+            z = y & ~(1 << l)
+            for j in range(n_qubits):
+                if not z & (1 << j):
+                    mat[z | (1 << j), y] += 1.0
+    return mat
 
 
 def block_factor(size: int, excitation_weight: float) -> np.ndarray:
@@ -200,6 +261,178 @@ def multistart_max_contrast(prob: BoundProblem, n_starts: int = 200,
         if ceiling > 0:
             value = search(min(prob.p2, ceiling * (1.0 - 1e-9)))
     return value
+
+
+def _component_terms_d(prob: BoundProblem, i: int, w: float):
+    """As ``_component_terms`` (slaved remainder) plus d/dw of each value."""
+    m, n, k, kp = prob.depth, prob.n_teeth, prob.k, prob.k_prime
+    one = 1.0 - w
+    if i < k or kp == 0:
+        s = i * w * one ** (i - 1)
+        ds = 1.0 if i == 1 else i * one ** (i - 2) * (1.0 - i * w)
+        if i >= 2:
+            p2 = 0.5 * i * (i - 1) * w * w * one ** (i - 2)
+            dp2 = 2.0 * w if i == 2 else 0.5 * i * (i - 1) * w * one ** (i - 3) * (2.0 - i * w)
+        else:
+            p2, dp2 = 0.0, 0.0
+        return s, p2, m * i * s, ds, dp2, m * i * ds
+    rho = kp / m
+    den = 1.0 - w * (1.0 - rho)
+    v = rho * w / den
+    dv = rho / (den * den)
+    a = w * one ** (k - 1)
+    da = one ** (k - 2) * (1.0 - k * w)
+    c = one**k
+    dc = -k * one ** (k - 1)
+    s = k * a * (1.0 - v) + v * c
+    ds = k * (da * (1.0 - v) - a * dv) + dv * c + v * dc
+    hk = 0.5 * k * (k - 1)
+    b = w * w * one ** (k - 2)
+    db = 2.0 * w if k == 2 else w * one ** (k - 3) * (2.0 - k * w)
+    p2 = hk * b * (1.0 - v) + k * a * v
+    dp2 = hk * (db * (1.0 - v) - b * dv) + k * (da * v + a * dv)
+    # with the slaved remainder the component's numerator is exactly N * s
+    return s, p2, n * s, ds, dp2, n * ds
+
+
+def _embed_reduced(state: MixedBlockState) -> np.ndarray:
+    return np.concatenate([state.weights, state.beta_sq])
+
+
+def full_max_contrast(prob: BoundProblem, n_starts: int, seed: int) -> MaxContrastResult:
+    """max_R(M) by multi-start SLSQP over all k weights and k excitation weights.
+
+    Starts from the library's active-set optimum (embedded in the full
+    variables) and ``n_starts`` seeded random points, under the same P2 cap.
+    Returns the library result unchanged when k = 1 or the budget is zero.
+    """
+    reduced = max_contrast(prob)
+    p2_target = reduced.diagnostics.p2_target
+    if prob.k == 1 or p2_target == 0.0:
+        return reduced
+    k = prob.k
+    norm = (prob.p1 + 2.0 * prob.p2) * prob.n_teeth
+    diag = SolverDiagnostics(mode="full", p2_target=p2_target)
+
+    memo = {"key": None, "vals": None}
+
+    def _terms(z):
+        # SLSQP queries objective/constraints/jacobians separately per
+        # iterate; memoise the shared component sweep on the current z
+        key = z.tobytes()
+        if memo["key"] != key:
+            q, w = z[:k], z[k:]
+            val = s_tot = p2_tot = 0.0
+            grad = np.zeros(2 * k)
+            js = np.zeros(2 * k)
+            jp = np.zeros(2 * k)
+            for i in range(k):
+                s, p2, r, ds, dp2, dr = _component_terms_d(prob, i + 1, float(w[i]))
+                val += q[i] * r
+                s_tot += q[i] * s
+                p2_tot += q[i] * p2
+                grad[i], grad[k + i] = -r / norm, -q[i] * dr / norm
+                js[i], js[k + i] = s, q[i] * ds
+                jp[i], jp[k + i] = p2, q[i] * dp2
+            memo["key"] = key
+            memo["vals"] = (val, grad, s_tot, p2_tot, js, jp)
+        return memo["vals"]
+
+    def objective(z):
+        val, grad, *_ = _terms(z)
+        return -val / norm, grad
+
+    def constraint_vals(z):
+        _, _, s_tot, p2_tot, js, jp = _terms(z)
+        return s_tot, p2_tot, js, jp
+
+    def c1(z):
+        s_tot, _, _, _ = constraint_vals(z)
+        return s_tot / prob.p1 - 1.0
+
+    def c1_jac(z):
+        _, _, js, _ = constraint_vals(z)
+        return js / prob.p1
+
+    def c2(z):
+        _, p2_tot, _, _ = constraint_vals(z)
+        return p2_tot / p2_target - 1.0
+
+    def c2_jac(z):
+        _, _, _, jp = constraint_vals(z)
+        return jp / p2_target
+
+    cons = [
+        {"type": "eq", "fun": lambda z: z[:k].sum() - 1.0,
+         "jac": lambda z: np.concatenate([np.ones(k), np.zeros(k)])},
+        {"type": "eq", "fun": c1, "jac": c1_jac},
+        {"type": "eq", "fun": c2, "jac": c2_jac},
+    ]
+    bounds = [(0.0, 1.0)] * (2 * k)
+
+    rng = np.random.default_rng(seed)
+    starts = [_embed_reduced(reduced.state)]
+    for j in range(n_starts):
+        q0 = rng.dirichlet(np.ones(k))
+        if j % 2 == 0:
+            w0 = rng.uniform(0.0, 1.0, size=k)
+        else:
+            w0 = 10.0 ** rng.uniform(-8.0, 0.0, size=k)
+        starts.append(np.concatenate([q0, w0]))
+
+    best_val, best_z = reduced.value, _embed_reduced(reduced.state)
+    for z0 in starts:
+        res = optimize.minimize(objective, z0, jac=True, method="SLSQP",
+                                bounds=bounds, constraints=cons,
+                                options={"maxiter": 400, "ftol": 1e-14})
+        z = np.clip(res.x, 0.0, 1.0)
+        r1, r2 = abs(c1(z)), abs(c2(z))
+        val = -objective(z)[0] * prob.n_teeth
+        if r1 <= _CONSTRAINT_TOL and r2 <= _CONSTRAINT_TOL and val > best_val:
+            best_val, best_z = val, z
+
+    q, w = best_z[:k], best_z[k:]
+    state = MixedBlockState(weights=q / q.sum(), beta_sq=w)
+    s, p2, _ = _state_sums(state, prob)
+    diag.best_objective = best_val
+    diag.constraint_residuals = (abs(s - prob.p1) / prob.p1,
+                                 abs(p2 - p2_target) / p2_target)
+    diag.active_constraints = _active_constraints(state)
+    return MaxContrastResult(best_val, state, diag)
+
+
+
+
+def monte_carlo_excitations(ch: ChannelModel, trials: int, seed: int = 0,
+                            r_max: int = 4):
+    """Monte-Carlo channel simulation; returns (counts[r], accepted trials).
+
+    Each trial draws n >= 1 pairs from the thermal distribution (n = 0 never
+    heralds), thins the herald arm photon-by-photon, splits the comb-arm
+    photons into absorbed / transmitted-detected / lost, and keeps the trial
+    when the herald fired and the transmitted mode stayed silent.
+    """
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(r_max + 1, dtype=np.int64)
+    accepted = 0
+    p_abs = ch.absorbed_fraction
+    p_det = ch.eta_b * (1.0 - ch.eta_w) * ch.eta_t
+    chunk = 2_000_000
+    remaining = trials
+    while remaining > 0:
+        size = min(chunk, remaining)
+        remaining -= size
+        # thermal conditioned on n >= 1 is geometric with p = 1/(1+mu)
+        n = rng.geometric(1.0 / (1.0 + ch.mu), size=size)
+        heralded = rng.binomial(n, ch.eta_a) >= 1
+        absorbed = rng.binomial(n, p_abs)
+        rest = n - absorbed
+        t_clicks = rng.binomial(rest, p_det / (1.0 - p_abs))
+        keep = heralded & (t_clicks == 0)
+        accepted += int(keep.sum())
+        kept_r = np.minimum(absorbed[keep], r_max)
+        counts += np.bincount(kept_r, minlength=r_max + 1)
+    return counts, accepted
 
 
 def mc_emission_probability(amps, comb: CombSpec, times, n_samples: int = 10_000,

@@ -9,16 +9,15 @@ import time
 
 import numpy as np
 
+from _oracles import monte_carlo_excitations, sector_indices, splus_sminus_matrix
 from afcdepth.cli import main
 from afcdepth.depthbound import (BoundProblem, bound_curve, certify_depth,
                                  linear_bound, max_contrast)
-from afcdepth.dicke import sector_indices, splus_sminus_matrix
 from afcdepth.echoanalysis import (DETECTOR_FWHM_DEFAULT, deconvolution_factor,
                                    echo_contrast, fit_echo)
 from afcdepth.echosim import CombSpec, PhotonSpectrum, absorb, simulated_contrast
 from afcdepth.fixtures import headline_fixture, sweep_fixtures, write_fixture_files
-from afcdepth.photonstats import (ChannelModel, excitation_probabilities,
-                                  monte_carlo_excitations)
+from afcdepth.photonstats import ChannelModel, excitation_probabilities
 from afcdepth.spectroscopy import (TM_LINBO3, atoms_per_tooth_from_absorption,
                                    atoms_per_tooth_from_single_ion)
 
@@ -36,13 +35,13 @@ def report(name, ok, detail):
 
 def test_criterion_1_headline_depth_certification():
     start = time.perf_counter()
-    result = certify_depth(256.7, 8.7, **HEADLINE, n_starts=200, seed=0)
+    result = certify_depth(256.7, 8.7, **HEADLINE)
     elapsed = time.perf_counter() - start
     ok = 218 <= result.m_lower <= 240 and elapsed < 300.0
     report("1 depth certification",
            ok,
            f"m_lower={result.m_lower} interval={result.m_interval} "
-           f"({elapsed:.1f}s, 200 starts)")
+           f"({elapsed:.1f}s)")
 
 
 def test_criterion_2_linear_bound_consistency():
@@ -51,7 +50,7 @@ def test_criterion_2_linear_bound_consistency():
     excesses = {}
     for depth in (50, 100, 229, 400):
         res = max_contrast(BoundProblem(HEADLINE["n_teeth"], depth, HEADLINE["p1"],
-                                        HEADLINE["p2"]), n_starts=40, seed=0)
+                                        HEADLINE["p2"]))
         excesses[depth] = res.value - (depth + INTERCEPT)
         ok = ok and excesses[depth] < 0.10 * INTERCEPT
     report("2 linear bound",
@@ -62,7 +61,7 @@ def test_criterion_2_linear_bound_consistency():
 
 def test_criterion_3_bound_curve_shape_and_ordering():
     depths = [1] + list(range(25, 501, 25))
-    rows = bound_curve(**HEADLINE, depths=depths, n_starts=32, seed=0)
+    rows = bound_curve(**HEADLINE, depths=depths)
     values = np.array([v for _, v in rows])
     ms = np.array([m for m, _ in rows], dtype=float)
     monotone = bool(np.all(np.diff(values) >= -1e-9))
@@ -70,8 +69,7 @@ def test_criterion_3_bound_curve_shape_and_ordering():
     residuals = values - (slope * ms + intercept)
     affine_dev = float(np.max(np.abs(residuals)) / (values.max() - values.min()))
     curves = [np.array([v for _, v in bound_curve(564, 3.5e-3, p2,
-                                                  depths=depths[::4],
-                                                  n_starts=32, seed=0)])
+                                                  depths=depths[::4])])
               for p2 in (0.0, 2.6e-9, 2.6e-8, 2e-7)]
     ordered = all(np.all(hi >= lo - 1e-12)
                   for lo, hi in zip(curves, curves[1:]))
@@ -203,8 +201,7 @@ def test_criterion_9_pipeline_determinism(tmp_path):
     config.write_text(json.dumps({
         "channel_config": "channel.conf",
         "histogram": {"csv": "hist_564.csv", "sidecar": "hist_564.json"},
-        "n_teeth": 564, "subtract_background": True, "deconvolve": True,
-        "starts": 24}))
+        "n_teeth": 564, "subtract_background": True, "deconvolve": True}))
     outputs = []
     for run in ("a", "b"):
         out = tmp_path / run

@@ -132,7 +132,7 @@ class TestBound:
                                       "P1": 3.5e-3, "P2": 2.6e-8}))
         out = tmp_path / "out"
         code = main(["bound", "--config", str(config), "--out", str(out),
-                     "--starts", "40", "--curve"])
+                     "--curve"])
         assert code == 0
         payload = read_json(out / "bound.json")
         assert 218 <= payload["m_lower"] <= 240
@@ -171,7 +171,6 @@ class TestPipeline:
             "n_teeth": 564,
             "subtract_background": True,
             "deconvolve": True,
-            "starts": 24,
         }))
         return config
 
@@ -208,3 +207,58 @@ class TestErrors:
     def test_missing_file_is_exit_two(self, tmp_path):
         assert main(["pstats", "--config", str(tmp_path / "nope.conf"),
                      "--out", str(tmp_path / "out")]) == 2
+
+    def test_starts_flag_is_gone(self, tmp_path):
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps({"R": 40.0, "N": 100, "P1": 2e-3, "P2": 1e-8}))
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--config", str(config), "--out", str(tmp_path / "out"),
+                  "--starts", "5"])
+        assert exc.value.code == 2
+
+
+def assert_config_error(capsys, code):
+    assert code == 2
+    line = capsys.readouterr().err.strip().splitlines()[-1]
+    assert json.loads(line)["error"] == "ConfigError"
+
+
+class TestMalformedNestedConfig:
+    def test_non_object_top_level_config(self, tmp_path, capsys):
+        config = tmp_path / "problem.json"
+        config.write_text("[1, 2]")
+        assert_config_error(capsys, main(["bound", "--config", str(config),
+                                          "--out", str(tmp_path / "out")]))
+
+    @pytest.mark.parametrize("key", ["csv", "sidecar"])
+    def test_pipeline_histogram_missing_key(self, tmp_path, capsys, key):
+        config = TestPipeline().make_inputs(tmp_path)
+        cfg = read_json(config)
+        del cfg["histogram"][key]
+        config.write_text(json.dumps(cfg))
+        assert_config_error(capsys, main(["pipeline", "--config", str(config),
+                                          "--out", str(tmp_path / "out")]))
+
+    @pytest.mark.parametrize("key", ["label", "csv", "sidecar"])
+    def test_batch_entry_missing_key(self, tmp_path, capsys, key):
+        fixtures = tmp_path / "fixtures"
+        manifest = write_fixture_files(fixtures, seed=11)
+        del manifest["histograms"][0][key]
+        (fixtures / "manifest.json").write_text(json.dumps(manifest))
+        assert_config_error(capsys, main(["analyze", "--batch",
+                                          str(fixtures / "manifest.json"),
+                                          "--out", str(tmp_path / "out")]))
+
+    @pytest.mark.parametrize("key", ["bin_width", "herald_index", "storage_time"])
+    def test_sidecar_missing_key(self, tmp_path, capsys, key):
+        fixtures = tmp_path / "fixtures"
+        manifest = write_fixture_files(fixtures, seed=11)
+        entry = manifest["histograms"][0]
+        sidecar = fixtures / entry["sidecar"]
+        meta = read_json(sidecar)
+        del meta[key]
+        sidecar.write_text(json.dumps(meta))
+        assert_config_error(capsys, main(["analyze",
+                                          "--histogram", str(fixtures / entry["csv"]),
+                                          "--sidecar", str(sidecar),
+                                          "--out", str(tmp_path / "out")]))

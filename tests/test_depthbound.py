@@ -8,14 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (block_product_state, direct_family_values,
-                      grid_search_max, multistart_max_contrast,
-                      p2_ceiling_loop, sector_data)
+                      full_max_contrast, grid_search_max,
+                      multistart_max_contrast, p2_ceiling_loop, sector_data,
+                      splus_sminus_matrix)
 from afcdepth.depthbound import (BoundProblem, MixedBlockState, _component_sp2,
                                  _p2_ceiling, bound_curve, certify_depth,
                                  family_contrast, family_p1, family_p2,
                                  linear_bound, max_contrast,
                                  slaved_remainder_weight)
-from afcdepth.dicke import splus_sminus_matrix
 from afcdepth.errors import ContrastInconsistencyError
 
 REFERENCE_BOUND = Path(__file__).resolve().parents[1] / "perfbench" / "reference_bound.json"
@@ -122,24 +122,24 @@ class TestFamilyEvaluation:
 class TestMaxContrast:
     def test_no_pair_budget_pins_to_depth(self):
         for depth in (1, 5, 17):
-            res = max_contrast(BoundProblem(100, depth, 2e-3, 0.0), n_starts=8)
+            res = max_contrast(BoundProblem(100, depth, 2e-3, 0.0))
             assert res.value == pytest.approx(depth, rel=1e-12)
 
     def test_headline_boundary(self):
-        res = max_contrast(headline_problem(229), n_starts=40, seed=0)
+        res = max_contrast(headline_problem(229))
         assert res.value == pytest.approx(256.7, abs=1.5)
-        nxt = max_contrast(headline_problem(230), n_starts=40, seed=0)
+        nxt = max_contrast(headline_problem(230))
         assert res.value < 256.7 <= nxt.value
 
     def test_constraints_hit_exactly(self):
-        res = max_contrast(headline_problem(229), n_starts=24, seed=0)
+        res = max_contrast(headline_problem(229))
         prob = headline_problem(229)
         assert family_p1(res.state, prob) == pytest.approx(prob.p1, rel=1e-10)
         assert family_p2(res.state, prob) == pytest.approx(prob.p2, rel=1e-10)
 
     @pytest.mark.parametrize("depth", [1, 50, 100, 229, 400])
     def test_linear_prediction_brackets(self, depth):
-        res = max_contrast(headline_problem(depth), n_starts=24, seed=0)
+        res = max_contrast(headline_problem(depth))
         excess = res.value - depth
         assert excess <= INTERCEPT * 1.01
         assert excess >= -1e-9
@@ -148,25 +148,25 @@ class TestMaxContrast:
 
     def test_degenerate_full_depth(self):
         prob = headline_problem(564)
-        res = max_contrast(prob, n_starts=8)
+        res = max_contrast(prob)
         expected = 564 * prob.p1 / (prob.p1 + 2 * prob.p2)
         assert res.value == pytest.approx(expected, rel=1e-9)
 
-    def test_deterministic_given_seed(self):
-        a = max_contrast(headline_problem(137), n_starts=24, seed=3)
-        b = max_contrast(headline_problem(137), n_starts=24, seed=3)
+    def test_deterministic_reruns(self):
+        a = max_contrast(headline_problem(137))
+        b = max_contrast(headline_problem(137))
         assert a.value == b.value
 
     def test_grid_oracle_small_systems(self):
         for n in (6, 9, 12):
             for depth in range(1, n + 1):
                 prob = BoundProblem(n, depth, 5e-3, 1e-6)
-                res = max_contrast(prob, n_starts=16, seed=0)
+                res = max_contrast(prob)
                 assert res.value >= grid_search_max(prob) - 1e-4, (n, depth)
 
     def test_optimum_state_verified_by_tensor_oracle(self):
         prob = BoundProblem(12, 3, 5e-3, 1e-6)
-        res = max_contrast(prob, n_starts=24, seed=0)
+        res = max_contrast(prob)
         p1_d, p2_d, num_d = direct_family_values(res.state, prob)
         assert p1_d == pytest.approx(prob.p1, rel=1e-9)
         assert p2_d == pytest.approx(prob.p2, rel=1e-9)
@@ -238,19 +238,12 @@ class TestActiveSetEvaluation:
                 checked += 1
         assert checked == 2068
 
-    def test_starts_and_seed_do_not_change_the_value(self):
-        for depth in (50, 229, 400, 563):
-            prob = headline_problem(depth)
-            values = {max_contrast(prob, n_starts=n, seed=seed).value
-                      for n, seed in ((0, 0), (8, 1), (200, 7))}
-            assert len(values) == 1, depth
-
 
 class TestOptimumStructure:
     def test_two_live_components_and_full_agreement(self):
         for prob in random_regime_instances(20):
-            reduced = max_contrast(prob, n_starts=24, seed=0, mode="reduced")
-            full = max_contrast(prob, n_starts=40, seed=0, mode="full")
+            reduced = max_contrast(prob)
+            full = full_max_contrast(prob, n_starts=40, seed=0)
             assert full.value == pytest.approx(reduced.value, rel=1e-6), prob
             weights = np.sort(full.state.weights)
             assert np.all(weights[:-2] <= 1e-9), (prob, full.state.weights)
@@ -276,39 +269,39 @@ class TestLinearBound:
 
 class TestCertifyDepth:
     def test_headline_certification(self):
-        res = certify_depth(256.7, 8.7, **HEADLINE, n_starts=40, seed=0)
+        res = certify_depth(256.7, 8.7, **HEADLINE)
         assert 218 <= res.m_lower <= 240
         assert res.m_interval[0] <= res.m_lower <= res.m_interval[1]
-        below = max_contrast(headline_problem(res.m_lower - 1), n_starts=40, seed=0)
-        at = max_contrast(headline_problem(res.m_lower), n_starts=40, seed=0)
+        below = max_contrast(headline_problem(res.m_lower - 1))
+        at = max_contrast(headline_problem(res.m_lower))
         assert below.value < 256.7 <= at.value
 
     def test_unit_contrast_certifies_one(self):
-        res = certify_depth(1.0, 0.0, 64, 1e-3, 0.0, n_starts=8)
+        res = certify_depth(1.0, 0.0, 64, 1e-3, 0.0)
         assert res.m_lower == 1
 
     def test_nested_comb_pair(self):
-        broadband = certify_depth(5.0, 0.0, 9, 1.1e-2, 2.4e-7, n_starts=24)
-        narrowband = certify_depth(4.0, 0.0, 9, 8.8e-5, 1.6e-11, n_starts=24)
+        broadband = certify_depth(5.0, 0.0, 9, 1.1e-2, 2.4e-7)
+        narrowband = certify_depth(4.0, 0.0, 9, 8.8e-5, 1.6e-11)
         assert broadband.m_lower == 5
         assert narrowband.m_lower == 4
 
     def test_monotone_in_contrast(self):
-        lows = [certify_depth(r, 0.0, **HEADLINE, n_starts=16).m_lower
+        lows = [certify_depth(r, 0.0, **HEADLINE).m_lower
                 for r in (80.0, 150.0, 256.7)]
         assert lows == sorted(lows)
         assert lows[0] < lows[-1]
 
     def test_more_pairs_weakens_certification(self):
-        weak = certify_depth(150.0, 0.0, 564, 3.5e-3, 2e-7, n_starts=16)
-        strong = certify_depth(150.0, 0.0, 564, 3.5e-3, 2.6e-9, n_starts=16)
+        weak = certify_depth(150.0, 0.0, 564, 3.5e-3, 2e-7)
+        strong = certify_depth(150.0, 0.0, 564, 3.5e-3, 2.6e-9)
         assert weak.m_lower <= strong.m_lower
 
     def test_impossible_contrast_rejected(self):
         with pytest.raises(ContrastInconsistencyError):
-            certify_depth(563.995, 0.0, **HEADLINE, n_starts=8)
+            certify_depth(563.995, 0.0, **HEADLINE)
         with pytest.raises(ContrastInconsistencyError):
-            certify_depth(600.0, 0.0, **HEADLINE, n_starts=8)
+            certify_depth(600.0, 0.0, **HEADLINE)
 
     @pytest.mark.parametrize("contrast,sigma", [(math.nan, 8.7), (math.inf, 8.7),
                                                 (256.7, math.nan), (256.7, math.inf)])
@@ -317,35 +310,36 @@ class TestCertifyDepth:
             certify_depth(contrast, sigma, **HEADLINE)
 
     def test_serialisable(self):
-        res = certify_depth(40.0, 2.0, 100, 2e-3, 1e-8, n_starts=8)
+        res = certify_depth(40.0, 2.0, 100, 2e-3, 1e-8)
         payload = res.to_dict()
         assert payload["m_lower"] == res.m_lower
-        assert payload["solver"]["n_starts"] == 8
+        assert payload["solver"]["mode"] == "active_set"
+        assert "n_starts" not in payload["solver"]
 
 
 class TestBoundCurve:
     def test_zero_pairs_is_identity_line(self):
-        rows = bound_curve(100, 2e-3, 0.0, depths=[1, 10, 50, 100], n_starts=8)
+        rows = bound_curve(100, 2e-3, 0.0, depths=[1, 10, 50, 100])
         for depth, value in rows:
             assert value == pytest.approx(depth, rel=1e-12)
 
     def test_monotone_including_block_boundaries(self):
         depths = [1, 2, 3, 5, 9, 17, 33, 65, 129, 257, 282, 283, 300, 400,
                   500, 563, 564]
-        rows = bound_curve(**HEADLINE, depths=depths, n_starts=16)
+        rows = bound_curve(**HEADLINE, depths=depths)
         values = [v for _, v in rows]
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
     def test_low_depth_fit_matches_linear_form(self):
         depths = list(range(1, 51, 7))
-        rows = bound_curve(**HEADLINE, depths=depths, n_starts=16)
+        rows = bound_curve(**HEADLINE, depths=depths)
         slope, intercept = np.polyfit([m for m, _ in rows], [v for _, v in rows], 1)
         assert slope == pytest.approx(1.0, abs=0.06)
         assert intercept == pytest.approx(INTERCEPT, abs=1.0)
 
     def test_pair_budget_orders_curves(self):
         depths = [1, 100, 250, 450]
-        curves = [bound_curve(564, 3.5e-3, p2, depths=depths, n_starts=16)
+        curves = [bound_curve(564, 3.5e-3, p2, depths=depths)
                   for p2 in (0.0, 2.6e-9, 2.6e-8, 2e-7)]
         for weaker, stronger in zip(curves, curves[1:]):
             for (_, lo), (_, hi) in zip(weaker, stronger):

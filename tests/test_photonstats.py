@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import monte_carlo_excitations
 from afcdepth.errors import ConfigError
 from afcdepth.photonstats import (ChannelModel, CountRates, estimate_etas,
                                   estimate_mu_from_g2, excitation_probabilities,
                                   g2_from_probabilities, load_channel_config,
-                                  load_count_rates, monte_carlo_excitations,
-                                  poisson_weight, propagate_uncertainty,
-                                  thermal_weight, write_efficiency)
+                                  load_count_rates, poisson_weight,
+                                  propagate_uncertainty, thermal_weight,
+                                  write_efficiency)
 
 REFERENCE_CHANNEL = ChannelModel(mu=1.1e-3, eta_a=0.11, eta_b=0.0106,
                              eta_w=0.33, eta_t=0.36)

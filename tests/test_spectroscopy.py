@@ -83,3 +83,10 @@ class TestMaterialParams:
         path.write_text("speed = 3\n")
         with pytest.raises(ConfigError):
             load_material_config(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "material.conf"
+        path.write_text(f"gamma_h = {value}\n")
+        with pytest.raises(ValueError):
+            load_material_config(path)
