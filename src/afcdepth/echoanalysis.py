@@ -8,14 +8,14 @@ rescale E for Gaussian detector jitter, E' = E * sqrt(dt_p^2/(dt_p^2-dt_D^2)).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .errors import ConfigError, DeconvolutionError, LowSignalError
+from ._inputs import field, read_json
+from .errors import DeconvolutionError, LowSignalError
 
 DETECTOR_FWHM_DEFAULT = 354e-12
 
@@ -69,16 +69,12 @@ class TimeHistogram:
         if data.shape[1] != 2:
             raise ValueError(f"{csv_path}: need two columns (bin_start_s, counts), "
                              f"found {data.shape[1]}")
-        with open(sidecar_path) as fh:
-            meta = json.load(fh)
-        if not isinstance(meta, dict):
-            raise ConfigError(f"{sidecar_path}: sidecar must be a JSON object")
-        try:
-            bin_width = float(meta["bin_width"])
-            herald_index = int(meta["herald_index"])
-            storage_time = float(meta["storage_time"])
-        except KeyError as exc:
-            raise ConfigError(f"{sidecar_path}: sidecar missing key {exc}") from None
+        meta = read_json(sidecar_path)
+        what = f"{sidecar_path}: sidecar"
+        bin_width = field(meta, "bin_width", float, what)
+        herald_index = field(meta, "herald_index", int, what)
+        storage_time = field(meta, "storage_time", float, what)
+        detector_fwhm = field(meta, "detector_fwhm", float, what, DETECTOR_FWHM_DEFAULT)
         expected = np.arange(data.shape[0]) * bin_width
         if not np.allclose(data[:, 0], expected, rtol=1e-9, atol=1e-9 * bin_width):
             raise ValueError(f"{csv_path}: bin starts are not multiples of the "
@@ -86,7 +82,7 @@ class TimeHistogram:
         hist = cls(bin_width=bin_width,
                    counts=np.round(data[:, 1]).astype(np.int64),
                    herald_index=herald_index, storage_time=storage_time)
-        return hist, float(meta.get("detector_fwhm", DETECTOR_FWHM_DEFAULT))
+        return hist, detector_fwhm
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._keyvalue import read_key_values
+from ._inputs import read_key_values
 from .errors import ConfigError
 
 _REL_TERM_TOL = 1e-15

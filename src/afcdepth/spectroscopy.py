@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from scipy.constants import c as _C_M_PER_S
 
-from ._keyvalue import read_key_values
+from ._inputs import read_key_values
 
 _C_CM_PER_S = _C_M_PER_S * 100.0
 

@@ -205,8 +205,7 @@ def test_criterion_9_pipeline_determinism(tmp_path):
     outputs = []
     for run in ("a", "b"):
         out = tmp_path / run
-        assert main(["pipeline", "--config", str(config), "--out", str(out),
-                     "--seed", "0"]) == 0
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
         outputs.append({name: (out / name).read_bytes()
                         for name in ("pipeline.json", "pstats.json",
                                      "analysis.json", "bound.json")})

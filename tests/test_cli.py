@@ -189,12 +189,38 @@ class TestPipeline:
         config = self.make_inputs(tmp_path)
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
-        assert main(["pipeline", "--config", str(config), "--out", str(out_a),
-                     "--seed", "0"]) == 0
-        assert main(["pipeline", "--config", str(config), "--out", str(out_b),
-                     "--seed", "0"]) == 0
+        assert main(["pipeline", "--config", str(config), "--out", str(out_a)]) == 0
+        assert main(["pipeline", "--config", str(config), "--out", str(out_b)]) == 0
         for name in ("pipeline.json", "pstats.json", "analysis.json", "bound.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_stage_files_match_the_stage_commands(self, tmp_path):
+        config = self.make_inputs(tmp_path)
+        fixtures = config.parent
+        out = tmp_path / "pipeline"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+        stages = tmp_path / "stages"
+        assert main(["pstats", "--config", str(fixtures / "channel.conf"),
+                     "--out", str(stages)]) == 0
+        assert main(["analyze", "--histogram", str(fixtures / "hist_564.csv"),
+                     "--sidecar", str(fixtures / "hist_564.json"),
+                     "--subtract-background", "--deconvolve",
+                     "--out", str(stages)]) == 0
+        analysis = read_json(stages / "analysis.json")
+        pstats = read_json(stages / "pstats.json")
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({
+            "R": analysis["r"], "sigma_R": analysis["sigma"], "N": 564,
+            "P1": pstats["p1"], "P2": pstats["p2"]}))
+        assert main(["bound", "--config", str(problem), "--out", str(stages)]) == 0
+
+        combined = read_json(out / "pipeline.json")
+        for name in ("pstats", "analysis", "bound"):
+            got = read_json(out / f"{name}.json")
+            want = read_json(stages / f"{name}.json")
+            del got["_provenance"], want["_provenance"]
+            assert got == want, name
+            assert combined[name] == want, name
 
 
 class TestErrors:
@@ -215,6 +241,36 @@ class TestErrors:
             main(["bound", "--config", str(config), "--out", str(tmp_path / "out"),
                   "--starts", "5"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "sim.json"],
+        ["pstats", "--config", "channel.conf"],
+        ["analyze", "--batch", "manifest.json"],
+        ["bound", "--config", "problem.json"],
+        ["atoms", "--theta-t", "4.3e6"],
+        ["pipeline", "--config", "pipeline.json"],
+    ], ids=lambda argv: argv[0])
+    def test_seed_flag_is_gone(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out"), "--seed", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    # each input is read without fault; the run fails on what it says
+    @pytest.mark.parametrize("argv,text,code", [
+        (["simulate", "--config"], "{}", 2),
+        (["pstats", "--sigma-mu", "1e-4", "--config"], REFERENCE_CHANNEL_CONF, 2),
+        (["analyze", "--batch"], "{}", 2),
+        (["bound", "--config"], '{"R": 40.0}', 2),
+        (["atoms", "--theta-t", "-1", "--config"], "", 1),
+        (["pipeline", "--config"], "{}", 2),
+    ], ids=["simulate", "pstats", "analyze", "bound", "atoms", "pipeline"])
+    def test_failed_run_leaves_no_output_directory(self, tmp_path, argv, text, code):
+        source = tmp_path / "input"
+        source.write_text(text)
+        out = tmp_path / "out"
+        assert main(argv + [str(source), "--out", str(out)]) == code
+        assert not out.exists()
 
 
 def assert_config_error(capsys, code):
@@ -262,3 +318,52 @@ class TestMalformedNestedConfig:
                                           "--histogram", str(fixtures / entry["csv"]),
                                           "--sidecar", str(sidecar),
                                           "--out", str(tmp_path / "out")]))
+
+    def test_sidecar_invalid_json(self, tmp_path, capsys):
+        fixtures = tmp_path / "fixtures"
+        manifest = write_fixture_files(fixtures, seed=11)
+        entry = manifest["histograms"][0]
+        sidecar = fixtures / entry["sidecar"]
+        sidecar.write_text("{oops")
+        assert_config_error(capsys, main(["analyze",
+                                          "--histogram", str(fixtures / entry["csv"]),
+                                          "--sidecar", str(sidecar),
+                                          "--out", str(tmp_path / "out")]))
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("pipeline", "histogram", {"csv": 5, "sidecar": "hist_564.json"}),
+        ("bound", "P2", None),
+        ("bound", "N", "abc"),
+        ("simulate", "combs", ["x"]),
+    ], ids=["pipeline-csv-number", "bound-P2-null", "bound-N-string",
+            "simulate-comb-string"])
+    def test_wrong_typed_value(self, tmp_path, capsys, command, key, value):
+        if command == "pipeline":
+            config = TestPipeline().make_inputs(tmp_path)
+            cfg = read_json(config)
+        else:
+            config = tmp_path / "config.json"
+            cfg = {"R": 40.0, "N": 100, "P1": 2e-3, "P2": 1e-8}
+            if command == "simulate":
+                cfg = {}
+        cfg[key] = value
+        config.write_text(json.dumps(cfg))
+        assert_config_error(capsys, main([command, "--config", str(config),
+                                          "--out", str(tmp_path / "out")]))
+
+    def test_simulate_comb_index_out_of_range(self, tmp_path, capsys):
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"combs": [{"n_teeth": 9, "bandwidth_hz": 6e9}],
+                                      "trace": {"comb_index": 1}}))
+        assert_config_error(capsys, main(["simulate", "--config", str(config),
+                                          "--out", str(tmp_path / "out")]))
+
+    def test_pipeline_booleans_are_strict(self, tmp_path, capsys):
+        config = TestPipeline().make_inputs(tmp_path)
+        cfg = read_json(config)
+        cfg.update(subtract_background="false", deconvolve="false")
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert_config_error(capsys, main(["pipeline", "--config", str(config),
+                                          "--out", str(out)]))
+        assert not out.exists()
