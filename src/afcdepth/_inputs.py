@@ -1,12 +1,14 @@
-"""How every input file is read: ``key = value`` files, JSON objects, and
-typed values taken out of them.  Every fault raises ConfigError naming the
-file or entry (exit status 2 in the CLI).
+"""How every input file is read: ``key = value`` files, JSON objects,
+numeric text tables, and typed values taken out of them.  Every fault
+raises ConfigError naming the file or entry (exit status 2 in the CLI).
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -52,6 +54,14 @@ def read_json(path) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(data).__name__}")
     return data
+
+
+def read_table(path, **loadtxt_kwargs) -> np.ndarray:
+    """The numbers in the text table ``path``, read by ``np.loadtxt``."""
+    try:
+        return np.loadtxt(path, **loadtxt_kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def typed(value, kind, what):

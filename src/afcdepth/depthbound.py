@@ -308,14 +308,28 @@ def _tail_max(prob: BoundProblem, p2_target: float):
             elif gi(lo) < 0.0:
                 w = max(w, optimize.brentq(gi, lo, hi, xtol=1e-300,
                                            rtol=4 * np.finfo(float).eps))
-    # the root may sit a few ulps on the infeasible side; hi is feasible
-    for _ in range(64):
+    # Rounding can leave the root on the infeasible side.  Where b1 <= 1 is
+    # nearly tangent (capped budgets) the accepted set flickers over many
+    # ulps, so step right in doubling steps to a feasible point, then bisect
+    # back to one whose left neighbour is infeasible.
+    out = _reduced_eval(prob, w, p2_target)
+    lo, step = w, float(np.spacing(w))
+    while out is None:
+        if w >= hi:
+            return None
+        lo, w = w, min(w + step, hi)
+        step *= 2.0
         out = _reduced_eval(prob, w, p2_target)
-        if out is not None:
-            return w, out
-        w = float(np.nextafter(w, hi))
-    out = _reduced_eval(prob, hi, p2_target)
-    return (hi, out) if out is not None else None
+    while lo < w:
+        mid = 0.5 * (lo + w)
+        if not lo < mid < w:
+            break
+        mid_out = _reduced_eval(prob, mid, p2_target)
+        if mid_out is None:
+            lo = mid
+        else:
+            w, out = mid, mid_out
+    return w, out
 
 
 def _k1_max(prob: BoundProblem, p2_target: float):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import curve_fit
 
-from ._inputs import field, read_json
+from ._inputs import field, read_json, read_table
 from .errors import DeconvolutionError, LowSignalError
 
 DETECTOR_FWHM_DEFAULT = 354e-12
@@ -65,7 +65,7 @@ class TimeHistogram:
         (and 1e-9 of a bin at i = 0); a mismatch means the two files do not
         belong together.
         """
-        data = np.loadtxt(csv_path, delimiter=",", comments="#", ndmin=2)
+        data = read_table(csv_path, delimiter=",", comments="#", ndmin=2)
         if data.shape[1] != 2:
             raise ValueError(f"{csv_path}: need two columns (bin_start_s, counts), "
                              f"found {data.shape[1]}")

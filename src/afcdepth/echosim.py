@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._inputs import read_table
 from .dicke import ToothAmplitudes
 
 TOOTH_SHAPES = ("gaussian", "lorentzian", "square")
@@ -176,18 +177,47 @@ def simulated_contrast(c, comb: CombSpec,
                        samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD) -> float:
     """Echo contrast: peak p at the first echo over the one-period average.
 
-    The average runs over the period centred on the echo, trapezoid rule with
-    ``samples_per_period`` points; doubling the sampling moves the result by
-    well under 0.1% for resolved combs.
+    The average is the trapezoid rule with S = ``samples_per_period``
+    intervals over the period T = 2 pi/Delta centred on the echo, t_m =
+    T/2 + m T/S for m = 0..S; doubling S moves the result by well under
+    0.1% for resolved combs.  It is evaluated spectrally, in
+    O(S log S + N log N) instead of O(S N):
+
+    * p(t) = D(t)^2 sum_k a_k exp(i k Delta t), |k| < N, where
+      a_k = sum_l c_(l+k) conj(c_l) is the autocorrelation of the tooth
+      amplitudes (Wiener-Khinchin: one zero-padded FFT of c);
+    * the rule is then sum_k a_k I_k, I_k being the same S-point trapezoid
+      sum of D(t)^2 exp(i k Delta t) / S;
+    * Delta t_m = pi + 2 pi m/S, so exp(i k Delta t_m) = (-1)^k
+      exp(2 pi i k m/S) and the end point m = S carries the phase of m = 0.
+      Folding its half weight onto the start gives the weights g_0 =
+      (D_0^2 + D_S^2)/2, g_m = D_m^2, and I_k = (-1)^k ifft(g)[k mod S].
+
+    Indexing by k mod S is exact, not an approximation, so this is the
+    dense trapezoid's value for every S, including S < 2N where the rule
+    aliases tooth pairs onto each other.  Measured against the dense rule
+    up to N = 564: 5e-15 relative unaliased, 1e-13 aliased (rounding).
     """
+    if samples_per_period < 1:
+        raise ValueError("samples_per_period must be >= 1")
     t_e = comb.echo_time
-    t = np.linspace(0.5 * t_e, 1.5 * t_e, samples_per_period + 1)
-    p = emission_probability(c, comb, t)
-    mean = np.trapezoid(p, t) / t_e
+    amps = c.c if isinstance(c, ToothAmplitudes) else np.asarray(c, dtype=complex)
+    n = amps.size
+    size = 1 << (2 * n - 1).bit_length()  # >= 2N - 1: no wrap-around
+    spectrum = np.fft.fft(amps, size)
+    autocorr = np.fft.ifft(spectrum.real**2 + spectrum.imag**2)
+    d_sq = dephasing_envelope(
+        comb, np.linspace(0.5 * t_e, 1.5 * t_e, samples_per_period + 1)) ** 2
+    weights = d_sq[:-1].copy()
+    weights[0] = 0.5 * (d_sq[0] + d_sq[-1])
+    integrals = np.fft.ifft(weights)
+    k = np.arange(1 - n, n)
+    sign = 1.0 - 2.0 * (k & 1)
+    mean = float(np.sum(autocorr[k % size] * sign * integrals[k % samples_per_period]).real)
     if mean <= 0:
         raise ValueError("zero period-averaged emission")
-    peak = float(emission_probability(c, comb, t_e)[0])
-    return peak / float(mean)
+    peak = float(emission_probability(amps, comb, t_e)[0])
+    return peak / mean
 
 
 def sweep_contrast_vs_teeth(combs, photon: PhotonSpectrum,
@@ -208,7 +238,7 @@ def load_comb_trace(path, tooth_shape: str = "gaussian") -> CombSpec:
     strict local maxima above d0 + 0.5*d1.  Tooth spacing from the median peak
     separation, gamma from the median half-maximum width.
     """
-    data = np.loadtxt(path)
+    data = read_table(path)
     if data.ndim != 2 or data.shape[1] < 2:
         raise ValueError("expected two columns: frequency_Hz, optical_depth")
     freq, od = data[:, 0], data[:, 1]

@@ -4,8 +4,9 @@ Everything here favours brute force over cleverness: the dense 2^M S+S-
 matrix and explicit tensor-product state vectors, dense grid and multi-start
 searches for max_R(M) (the full SLSQP solver over all component weights
 among them), Monte-Carlo sampling of the photon channel and of tooth
-detunings.  Tests compare the production code against these; none of it
-ships in the library.
+detunings, and the echo contrast's period average on the dense time grid.
+Tests compare the production code against these; none of it ships in the
+library.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from scipy import optimize
 from afcdepth.depthbound import (BoundProblem, MaxContrastResult, MixedBlockState,
                                  SolverDiagnostics, _active_constraints,
                                  _state_sums, max_contrast)
-from afcdepth.echosim import CombSpec
+from afcdepth.echosim import (DEFAULT_SAMPLES_PER_PERIOD, CombSpec,
+                              emission_probability)
 from afcdepth.photonstats import ChannelModel
 
 # Dense 2^M oracle cap: 16384-dim matrices keep tests in seconds.
@@ -460,3 +462,17 @@ def mc_emission_probability(amps, comb: CombSpec, times, n_samples: int = 10_000
         envelope = np.exp(2j * math.pi * spread * t).mean(axis=1)
         out[idx] = abs(np.sum(c * tooth_phase * envelope)) ** 2
     return out
+
+
+def dense_simulated_contrast(c, comb: CombSpec,
+                             samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD) -> float:
+    """Echo contrast with p(t) evaluated on the whole trapezoid grid.
+
+    Builds the (S + 1) x N exponential matrix over the period centred on the
+    echo and applies ``np.trapezoid``: O(S N) work, the rule that
+    ``simulated_contrast`` evaluates spectrally.
+    """
+    t_e = comb.echo_time
+    t = np.linspace(0.5 * t_e, 1.5 * t_e, samples_per_period + 1)
+    mean = np.trapezoid(emission_probability(c, comb, t), t) / t_e
+    return float(emission_probability(c, comb, t_e)[0]) / float(mean)

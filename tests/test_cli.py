@@ -351,6 +351,24 @@ class TestMalformedNestedConfig:
         assert_config_error(capsys, main([command, "--config", str(config),
                                           "--out", str(tmp_path / "out")]))
 
+    def test_histogram_non_numeric_cell(self, tmp_path, capsys):
+        fixtures = tmp_path / "fixtures"
+        manifest = write_fixture_files(fixtures, seed=11)
+        entry = manifest["histograms"][0]
+        csv = fixtures / entry["csv"]
+        csv.write_text("0.0,abc\n")
+        assert_config_error(capsys, main(["analyze", "--histogram", str(csv),
+                                          "--sidecar", str(fixtures / entry["sidecar"]),
+                                          "--out", str(tmp_path / "out")]))
+
+    def test_comb_trace_non_numeric_cell(self, tmp_path, capsys):
+        trace = tmp_path / "comb_trace.txt"
+        trace.write_text("0.0 0.3\n1.0e8 abc\n")
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"combs": [{"trace": str(trace)}]}))
+        assert_config_error(capsys, main(["simulate", "--config", str(config),
+                                          "--out", str(tmp_path / "out")]))
+
     def test_simulate_comb_index_out_of_range(self, tmp_path, capsys):
         config = tmp_path / "sim.json"
         config.write_text(json.dumps({"combs": [{"n_teeth": 9, "bandwidth_hz": 6e9}],

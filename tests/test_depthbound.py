@@ -209,6 +209,12 @@ class TestActiveSetEvaluation:
     @given(oracle_problems())
     @example(CAPPED)
     @example(BoundProblem(564, 563, 3.5e-3, 2.6e-8))  # interior k = 1 maximum
+    # capped budgets whose tail root rounds to the infeasible side by more
+    # than a few ulps: the grid point above it under-reported max_R
+    @example(BoundProblem(15, 6, 0.4381449018112256, 0.4381449018112256))
+    @example(BoundProblem(13, 6, 0.4867870244436108, 0.3940616309563762))
+    @example(BoundProblem(6, 2, 0.4789501391665874, 0.3321415956007648))
+    @example(BoundProblem(33, 16, 0.4952266597304498, 0.48826898931467977))
     def test_matches_multistart_oracle(self, prob):
         value = max_contrast(prob).value
         oracle = multistart_max_contrast(prob)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import mc_emission_probability
+from _oracles import dense_simulated_contrast, mc_emission_probability
 from afcdepth.dicke import w_state
 from afcdepth.echosim import (CombSpec, PhotonSpectrum, absorb,
                               dephasing_envelope, emission_probability,
@@ -144,6 +144,17 @@ class TestSimulatedContrast:
         r1 = simulated_contrast(amps, comb, samples_per_period=10_000)
         r2 = simulated_contrast(amps, comb, samples_per_period=20_000)
         assert abs(r2 - r1) / r1 < 1e-3
+
+    @pytest.mark.parametrize("shape", ["gaussian", "lorentzian", "square"])
+    @pytest.mark.parametrize("finesse", [math.inf, 10.0, 3.0])
+    @pytest.mark.parametrize("samples", [10_000, 100])  # 100 < 2N: the rule aliases
+    def test_matches_dense_trapezoid(self, shape, finesse, samples):
+        comb = CombSpec.from_bandwidth(94, 6e9, finesse=finesse, tooth_shape=shape)
+        lorentzian = absorb(comb, PhotonSpectrum("lorentzian", fwhm=3e9)).c
+        phases = np.exp(2j * np.pi * np.random.default_rng(5).random(comb.n_teeth))
+        for amps in (absorb(comb, FLAT), lorentzian, lorentzian * phases):
+            assert simulated_contrast(amps, comb, samples) == pytest.approx(
+                dense_simulated_contrast(amps, comb, samples), rel=1e-12, abs=0.0)
 
     def test_dephasing_only_hurts(self):
         # the envelope cancels to first order in the peak/average ratio for
