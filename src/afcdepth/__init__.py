@@ -16,7 +16,7 @@ from .echosim import (CombSpec, EmissionTrace, PhotonSpectrum, absorb,
 from .photonstats import (ChannelModel, CountRates, ExcitationProbabilities,
                           estimate_etas, estimate_mu_from_g2,
                           excitation_probabilities, g2_from_probabilities,
-                          thermal_weight, write_efficiency)
+                          write_efficiency)
 from .spectroscopy import (TM_LINBO3, MaterialParams,
                            atoms_per_tooth_from_absorption,
                            atoms_per_tooth_from_single_ion)
@@ -27,7 +27,7 @@ __all__ = [
     "dephased_contrast",
     "CombSpec", "PhotonSpectrum", "EmissionTrace", "absorb", "emission_trace",
     "simulated_contrast", "sweep_contrast_vs_teeth", "load_comb_trace",
-    "ChannelModel", "CountRates", "ExcitationProbabilities", "thermal_weight",
+    "ChannelModel", "CountRates", "ExcitationProbabilities",
     "excitation_probabilities", "estimate_mu_from_g2",
     "estimate_etas", "write_efficiency", "g2_from_probabilities",
     "BoundProblem", "MixedBlockState", "DepthBoundResult", "family_contrast",

@@ -56,12 +56,17 @@ def read_json(path) -> dict:
     return data
 
 
-def read_table(path, **loadtxt_kwargs) -> np.ndarray:
-    """The numbers in the text table ``path``, read by ``np.loadtxt``."""
+def read_table(path, columns, **loadtxt_kwargs) -> np.ndarray:
+    """The rows of the text table ``path``, read by ``np.loadtxt``, which
+    must be ``columns`` (a tuple of column names) wide."""
     try:
-        return np.loadtxt(path, **loadtxt_kwargs)
+        data = np.loadtxt(path, ndmin=2, **loadtxt_kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    if data.shape[1] != len(columns):
+        raise ConfigError(f"{path}: need {len(columns)} columns ({', '.join(columns)}), "
+                          f"found {data.shape[1]}")
+    return data
 
 
 def typed(value, kind, what):

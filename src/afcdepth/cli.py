@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import logging
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -367,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("AFCDEPTH_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from ._inputs import field, read_json, read_table
-from .errors import DeconvolutionError, LowSignalError
+from .errors import ConfigError, DeconvolutionError, LowSignalError
 
 DETECTOR_FWHM_DEFAULT = 354e-12
 
@@ -65,10 +65,7 @@ class TimeHistogram:
         (and 1e-9 of a bin at i = 0); a mismatch means the two files do not
         belong together.
         """
-        data = read_table(csv_path, delimiter=",", comments="#", ndmin=2)
-        if data.shape[1] != 2:
-            raise ValueError(f"{csv_path}: need two columns (bin_start_s, counts), "
-                             f"found {data.shape[1]}")
+        data = read_table(csv_path, ("bin_start_s", "counts"), delimiter=",")
         meta = read_json(sidecar_path)
         what = f"{sidecar_path}: sidecar"
         bin_width = field(meta, "bin_width", float, what)
@@ -77,8 +74,8 @@ class TimeHistogram:
         detector_fwhm = field(meta, "detector_fwhm", float, what, DETECTOR_FWHM_DEFAULT)
         expected = np.arange(data.shape[0]) * bin_width
         if not np.allclose(data[:, 0], expected, rtol=1e-9, atol=1e-9 * bin_width):
-            raise ValueError(f"{csv_path}: bin starts are not multiples of the "
-                             f"sidecar's bin_width {bin_width!r}")
+            raise ConfigError(f"{csv_path}: bin starts are not multiples of the "
+                              f"sidecar's bin_width {bin_width!r}")
         hist = cls(bin_width=bin_width,
                    counts=np.round(data[:, 1]).astype(np.int64),
                    herald_index=herald_index, storage_time=storage_time)

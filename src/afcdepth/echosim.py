@@ -238,9 +238,7 @@ def load_comb_trace(path, tooth_shape: str = "gaussian") -> CombSpec:
     strict local maxima above d0 + 0.5*d1.  Tooth spacing from the median peak
     separation, gamma from the median half-maximum width.
     """
-    data = read_table(path)
-    if data.ndim != 2 or data.shape[1] < 2:
-        raise ValueError("expected two columns: frequency_Hz, optical_depth")
+    data = read_table(path, ("frequency_Hz", "optical_depth"))
     freq, od = data[:, 0], data[:, 1]
     order = np.argsort(freq)
     freq, od = freq[order], od[order]

@@ -1,14 +1,16 @@
 """Absorbed-excitation statistics of a heralded down-conversion source.
 
-Models the chain: thermal pair generation with mean pair number mu per mode,
-heralding by a non-number-resolving detector of efficiency eta_a, loss into
-the comb (eta_b), absorption (eta_w), and conditioning on no click behind the
-comb (transmission-detection efficiency eta_t).  The result is the probability
-P_r that exactly r photons were absorbed.
+Models the chain: thermal (or Poisson) pair generation with mean pair number
+mu per mode, heralding by a non-number-resolving detector of efficiency
+eta_a, loss into the comb (eta_b), absorption (eta_w), and conditioning on no
+click behind the comb (transmission-detection efficiency eta_t).  The result
+is the probability P_r that exactly r photons were absorbed, in closed form
+from the generating function of the pair-number distribution.
 
 Also hosts the count-rate estimators for mu and the channel efficiencies.
-The analytic chain is cross-checked against a Monte-Carlo simulation of the
-same channel that lives with the tests.
+The closed form is cross-checked against the pair-number series and a
+Monte-Carlo simulation of the same channel, both of which live with the
+tests.
 """
 
 from __future__ import annotations
@@ -20,9 +22,6 @@ import numpy as np
 
 from ._inputs import read_key_values
 from .errors import ConfigError
-
-_REL_TERM_TOL = 1e-15
-_N_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ class CountRates:
 
 @dataclass(frozen=True)
 class ExcitationProbabilities:
-    """P_r for r = 0..r_max plus the truncation error of the series."""
+    """P_r for r = 0..r_max plus the probability mass above r_max."""
 
     p: np.ndarray
     truncation_error: float
@@ -89,93 +88,55 @@ class ExcitationProbabilities:
         return self.p.size - 1
 
 
-def thermal_weight(n: int, mu: float) -> float:
-    """Thermal photon-number weight mu^n / (mu+1)^(n+1)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    return mu**n / (mu + 1.0) ** (n + 1)
-
-
-def poisson_weight(n: int, mu: float) -> float:
-    """Poissonian alternative exp(-mu) mu^n / n! for sensitivity analysis."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    return math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1))
-
-
-def _pair_weight(n: int, mu: float, stats_model: str) -> float:
-    if stats_model == "thermal":
-        return thermal_weight(n, mu)
-    if stats_model == "poisson":
-        return poisson_weight(n, mu)
-    raise ValueError("stats_model must be 'thermal' or 'poisson'")
-
-
-def heralded_number_distribution(ch: ChannelModel, stats_model: str = "thermal"):
-    """Photon-number distribution in the comb arm after a herald click.
-
-    The herald fires for k >= 1 detections out of n photons, so the n-pair
-    weight picks up 1 - (1 - eta_a)^n.  Returns (n values, probabilities).
-    """
-    weights = []
-    total = 0.0
-    n = 1
-    while n <= _N_CAP:
-        w = _pair_weight(n, ch.mu, stats_model) * (1.0 - (1.0 - ch.eta_a) ** n)
-        weights.append(w)
-        total += w
-        if w < _REL_TERM_TOL * total:
-            break
-        n += 1
-    else:
-        raise ArithmeticError("heralded distribution did not converge")
-    pn = np.asarray(weights) / total
-    return np.arange(1, pn.size + 1), pn
-
-
 def excitation_probabilities(ch: ChannelModel, r_max: int = 4,
                              stats_model: str = "thermal") -> ExcitationProbabilities:
     """P_r that exactly r photons sit in the comb, r = 0..r_max.
 
-    Chain: heralded number distribution, per-photon splitting into absorbed
-    (eta_b*eta_w), transmitted-and-detected, and undetected-loss (Z^2) modes,
-    then conditioning on no click in the transmitted mode:
+    Each of n pair photons in the comb arm is absorbed (a = eta_b eta_w),
+    lost undetected (z = Z^2) or detected behind the comb; the herald fires
+    with probability 1 - (1 - eta_a)^n.  Given a herald click and no click
+    behind the comb,
 
-        P_r = (1/Mnorm) sum_{n>=r} p_n C(n, r) (eta_b eta_w)^r Z^(2(n-r))
+        P_r = sum_n p_n [1 - (1-eta_a)^n] C(n, r) a^r z^(n-r)
+              / sum_n p_n [1 - (1-eta_a)^n] (a + z)^n,
 
-    with Mnorm = sum_n p_n (eta_b eta_w + Z^2)^n.  Terms are accumulated with
-    compensated summation; the geometric tail bounds the truncation error.
+    summed in closed form by the generating function of the thermal or
+    Poisson p_n, with the differences written through log1p/expm1 so that
+    no digits cancel at small mu or eta_a.  The truncation error is the mass
+    above r_max.
     """
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
-    ns, pn = heralded_number_distribution(ch, stats_model)
-    ebw = ch.absorbed_fraction
-    z2 = ch.survival_z2
-    mnorm = math.fsum(p * (ebw + z2) ** n for n, p in zip(ns, pn))
-
-    # extend r far enough that the untabulated tail is negligible
-    r_hi = r_max
-    probs = []
-    while True:
-        r = len(probs)
-        terms = []
-        for n, p in zip(ns, pn):
-            if n < r and r > 0:
-                continue
-            terms.append(p * math.comb(n, r) * ebw**r * z2 ** (n - r))
-        probs.append(math.fsum(terms) / mnorm)
-        if r >= r_hi and (probs[-1] < 1e-18 or r >= ns[-1]):
-            break
-    total = math.fsum(probs)
-    truncation = max(1.0 - total, 0.0)
-    out = np.asarray(probs[: r_max + 1])
-    # mass at r_max < r <= r_hi counts as truncation of the reported vector
-    truncation += math.fsum(probs[r_max + 1:])
-    return ExcitationProbabilities(p=out, truncation_error=truncation)
+    if stats_model not in ("thermal", "poisson"):
+        raise ValueError("stats_model must be 'thermal' or 'poisson'")
+    mu, eta_a = ch.mu, ch.eta_a
+    a, z = ch.absorbed_fraction, ch.survival_z2
+    c = a + z
+    if eta_a == 0.0:
+        raise ValueError("eta_a = 0: the herald click has probability zero")
+    if c == 0.0:
+        raise ValueError("eta_b = eta_t = 1, eta_w = 0: the no-click event behind "
+                         "the comb has probability zero")
+    rs = range(r_max + 1)
+    # log (1 - eta_a)^r: none of r photons reaches the herald
+    log_miss = [r * math.log1p(-eta_a) if eta_a < 1.0 else (-math.inf if r else 0.0)
+                for r in rs]
+    if stats_model == "thermal":
+        x = mu / (1.0 + mu)
+        d = x * eta_a
+        u = 1.0 - x * z
+        w = 1.0 - (x - d) * z
+        norm = d * c / ((1.0 - x * c) * (1.0 - (x - d) * c))
+        log_tail = math.log1p(-d * z / w)
+        p = [(a * x / u) ** r * -math.expm1(log_miss[r] + (r + 1) * log_tail)
+             / (u * norm) for r in rs]
+    else:
+        norm = -math.expm1(-mu * eta_a * c)
+        p = [(mu * a) ** r / math.factorial(r) * math.exp(-mu * a)
+             * -math.expm1(log_miss[r] - mu * eta_a * z) / norm
+             for r in rs]
+    return ExcitationProbabilities(p=np.asarray(p),
+                                   truncation_error=max(1.0 - math.fsum(p), 0.0))
 
 
 def estimate_mu_from_g2(g2_ab: float) -> float:

@@ -3,8 +3,9 @@
 Everything here favours brute force over cleverness: the dense 2^M S+S-
 matrix and explicit tensor-product state vectors, dense grid and multi-start
 searches for max_R(M) (the full SLSQP solver over all component weights
-among them), Monte-Carlo sampling of the photon channel and of tooth
-detunings, and the echo contrast's period average on the dense time grid.
+among them), the pair-number series for the excitation probabilities,
+Monte-Carlo sampling of the photon channel and of tooth detunings, and the
+echo contrast's period average on the dense time grid.
 Tests compare the production code against these; none of it ships in the
 library.
 """
@@ -22,7 +23,7 @@ from afcdepth.depthbound import (BoundProblem, MaxContrastResult, MixedBlockStat
                                  _state_sums, max_contrast)
 from afcdepth.echosim import (DEFAULT_SAMPLES_PER_PERIOD, CombSpec,
                               emission_probability)
-from afcdepth.photonstats import ChannelModel
+from afcdepth.photonstats import ChannelModel, ExcitationProbabilities
 
 # Dense 2^M oracle cap: 16384-dim matrices keep tests in seconds.
 FULL_SPACE_MAX_QUBITS = 14
@@ -403,6 +404,71 @@ def full_max_contrast(prob: BoundProblem, n_starts: int, seed: int) -> MaxContra
     return MaxContrastResult(best_val, state, diag)
 
 
+def thermal_weight(n: int, mu: float) -> float:
+    """Thermal photon-number weight mu^n / (mu+1)^(n+1)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    return mu**n / (mu + 1.0) ** (n + 1)
+
+
+def poisson_weight(n: int, mu: float) -> float:
+    """Poissonian alternative exp(-mu) mu^n / n! for sensitivity analysis."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    return math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1))
+
+
+_PAIR_WEIGHTS = {"thermal": thermal_weight, "poisson": poisson_weight}
+_SERIES_REL_TOL = 1e-15
+_SERIES_N_CAP = 10**6
+
+
+def series_excitation_probabilities(ch: ChannelModel, r_max: int = 4,
+                                    stats_model: str = "thermal"):
+    """P_r, r = 0..r_max, as compensated sums over the pair number n.
+
+    The heralded weight of n pairs is p_n (1 - (1 - eta_a)^n), summed until a
+    term falls below 1e-15 of the running total.  Then
+
+        P_r = (1/Mnorm) sum_{n>=r} p'_n C(n, r) (eta_b eta_w)^r Z^(2(n-r))
+
+    with Mnorm = sum_n p'_n (eta_b eta_w + Z^2)^n; r is extended past r_max
+    until P_r < 1e-18, and the mass above r_max is the truncation error.
+    """
+    if r_max < 0:
+        raise ValueError("r_max must be >= 0")
+    weight = _PAIR_WEIGHTS[stats_model]
+    weights = []
+    total = 0.0
+    for n in range(1, _SERIES_N_CAP + 1):
+        w = weight(n, ch.mu) * (1.0 - (1.0 - ch.eta_a) ** n)
+        weights.append(w)
+        total += w
+        if w < _SERIES_REL_TOL * total:
+            break
+    else:
+        raise ArithmeticError("heralded distribution did not converge")
+    ns = np.arange(1, len(weights) + 1)
+    pn = np.asarray(weights) / total
+    ebw = ch.absorbed_fraction
+    z2 = ch.survival_z2
+    mnorm = math.fsum(p * (ebw + z2) ** n for n, p in zip(ns, pn))
+
+    probs = []
+    while True:
+        r = len(probs)
+        terms = [p * math.comb(n, r) * ebw**r * z2 ** (n - r)
+                 for n, p in zip(ns, pn) if n >= r]
+        probs.append(math.fsum(terms) / mnorm)
+        if r >= r_max and (probs[-1] < 1e-18 or r >= ns[-1]):
+            break
+    truncation = max(1.0 - math.fsum(probs), 0.0) + math.fsum(probs[r_max + 1:])
+    return ExcitationProbabilities(p=np.asarray(probs[: r_max + 1]),
+                                   truncation_error=truncation)
 
 
 def monte_carlo_excitations(ch: ChannelModel, trials: int, seed: int = 0,

@@ -66,6 +66,23 @@ class TestPstats:
         assert payload["mu_from_g2"] == pytest.approx(1.13e-3, rel=1e-2)
         assert payload["eta_b"] == pytest.approx(0.0106)
 
+    # channels ChannelModel accepts whose conditioning event has probability
+    # zero, and a source bright enough to overflow a pair-number series
+    @pytest.mark.parametrize("line,code,error", [
+        ("eta_a = 0\n", 1, "ValueError"),
+        ("eta_b = 1\neta_w = 0\neta_t = 1\n", 1, "ValueError"),
+        ("mu = 1e4\n", 0, None),
+    ], ids=["herald-never-clicks", "comb-always-clicks", "bright-source"])
+    def test_degenerate_channels(self, tmp_path, capsys, line, code, error):
+        conf = tmp_path / "channel.conf"
+        conf.write_text(REFERENCE_CHANNEL_CONF + line)
+        assert main(["pstats", "--config", str(conf),
+                     "--out", str(tmp_path / "out")]) == code
+        if error:
+            message = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert message["error"] == error
+            assert "probability zero" in message["message"]
+
 
 class TestAnalyze:
     def test_single_histogram(self, tmp_path):
@@ -359,6 +376,24 @@ class TestMalformedNestedConfig:
         csv.write_text("0.0,abc\n")
         assert_config_error(capsys, main(["analyze", "--histogram", str(csv),
                                           "--sidecar", str(fixtures / entry["sidecar"]),
+                                          "--out", str(tmp_path / "out")]))
+
+    def test_histogram_one_column(self, tmp_path, capsys):
+        fixtures = tmp_path / "fixtures"
+        manifest = write_fixture_files(fixtures, seed=11)
+        entry = manifest["histograms"][0]
+        csv = fixtures / entry["csv"]
+        csv.write_text("0.0\n1.0\n")
+        assert_config_error(capsys, main(["analyze", "--histogram", str(csv),
+                                          "--sidecar", str(fixtures / entry["sidecar"]),
+                                          "--out", str(tmp_path / "out")]))
+
+    def test_comb_trace_one_column(self, tmp_path, capsys):
+        trace = tmp_path / "comb_trace.txt"
+        trace.write_text("0.3\n2.0\n0.3\n")
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"combs": [{"trace": str(trace)}]}))
+        assert_config_error(capsys, main(["simulate", "--config", str(config),
                                           "--out", str(tmp_path / "out")]))
 
     def test_comb_trace_non_numeric_cell(self, tmp_path, capsys):

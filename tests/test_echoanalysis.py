@@ -9,7 +9,7 @@ from afcdepth.echoanalysis import (DETECTOR_FWHM_DEFAULT, TimeHistogram,
                                    echo_contrast, estimate_background, fit_echo)
 from afcdepth.echosim import (CombSpec, PhotonSpectrum, absorb,
                               emission_probability, simulated_contrast)
-from afcdepth.errors import DeconvolutionError, LowSignalError
+from afcdepth.errors import ConfigError, DeconvolutionError, LowSignalError
 from afcdepth.fixtures import (BACKGROUND_RATE, BIN_WIDTH, headline_fixture,
                                sweep_fixtures, synthetic_histogram,
                                write_fixture_files)
@@ -260,7 +260,7 @@ class TestHistogramIO:
         meta = json.loads(sidecar.read_text())
         meta["bin_width"] *= 1.001
         sidecar.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match="bin_width"):
+        with pytest.raises(ConfigError, match="bin_width"):
             TimeHistogram.from_csv(tmp_path / entry["csv"], sidecar)
 
     def test_csv_needs_two_columns(self, tmp_path):
@@ -269,7 +269,7 @@ class TestHistogramIO:
         csv = tmp_path / entry["csv"]
         counts = [line.split(",")[1] for line in csv.read_text().splitlines()[1:]]
         csv.write_text("\n".join(counts) + "\n")
-        with pytest.raises(ValueError, match="two columns"):
+        with pytest.raises(ConfigError, match="need 2 columns"):
             TimeHistogram.from_csv(csv, tmp_path / entry["sidecar"])
 
     def test_histogram_invariants(self):

@@ -1,17 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import monte_carlo_excitations
+from _oracles import (monte_carlo_excitations, poisson_weight,
+                      series_excitation_probabilities, thermal_weight)
 from afcdepth.errors import ConfigError
 from afcdepth.photonstats import (ChannelModel, CountRates, estimate_etas,
                                   estimate_mu_from_g2, excitation_probabilities,
                                   g2_from_probabilities, load_channel_config,
-                                  load_count_rates, poisson_weight,
-                                  propagate_uncertainty, thermal_weight,
+                                  load_count_rates, propagate_uncertainty,
                                   write_efficiency)
 
 REFERENCE_CHANNEL = ChannelModel(mu=1.1e-3, eta_a=0.11, eta_b=0.0106,
@@ -98,6 +99,51 @@ class TestExcitationProbabilities:
         poisson = excitation_probabilities(REFERENCE_CHANNEL, stats_model="poisson")
         assert poisson[2] < thermal[2]
         assert poisson[1] == pytest.approx(thermal[1], rel=0.01)
+
+
+class TestSeriesOracle:
+    @pytest.mark.parametrize("stats_model", ["thermal", "poisson"])
+    def test_closed_form_matches_pair_number_series(self, stats_model):
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            ch = ChannelModel(mu=10 ** rng.uniform(-6, 0),
+                              eta_a=10 ** rng.uniform(-4, 0),
+                              eta_b=rng.uniform(0.01, 0.3),
+                              eta_w=rng.uniform(0.05, 0.8),
+                              eta_t=rng.uniform(0.1, 0.8))
+            closed = excitation_probabilities(ch, stats_model=stats_model)
+            series = series_excitation_probabilities(ch, stats_model=stats_model)
+            assert np.allclose(closed.p[:3], series.p[:3], rtol=1e-12, atol=0), ch
+            assert abs(closed.truncation_error - series.truncation_error) <= 1e-15, ch
+
+    @pytest.mark.parametrize("stats_model", ["thermal", "poisson"])
+    def test_herald_always_clicks(self, stats_model):
+        ch = replace(REFERENCE_CHANNEL, eta_a=1.0)
+        closed = excitation_probabilities(ch, stats_model=stats_model)
+        series = series_excitation_probabilities(ch, stats_model=stats_model)
+        assert np.allclose(closed.p[:3], series.p[:3], rtol=1e-12, atol=0)
+
+
+class TestDegenerateChannels:
+    @pytest.mark.parametrize("stats_model", ["thermal", "poisson"])
+    def test_herald_never_clicks(self, stats_model):
+        ch = replace(REFERENCE_CHANNEL, eta_a=0.0)
+        with pytest.raises(ValueError, match="herald click has probability zero"):
+            excitation_probabilities(ch, stats_model=stats_model)
+
+    @pytest.mark.parametrize("stats_model", ["thermal", "poisson"])
+    def test_every_photon_clicks_behind_the_comb(self, stats_model):
+        ch = replace(REFERENCE_CHANNEL, eta_b=1.0, eta_w=0.0, eta_t=1.0)
+        with pytest.raises(ValueError, match="no-click event .* probability zero"):
+            excitation_probabilities(ch, stats_model=stats_model)
+
+    def test_bright_source(self):
+        ch = replace(REFERENCE_CHANNEL, mu=1e4)
+        for stats_model in ("thermal", "poisson"):
+            probs = excitation_probabilities(ch, stats_model=stats_model)
+            assert np.all(np.isfinite(probs.p)) and np.all(probs.p >= 0)
+            assert probs.p.sum() + probs.truncation_error == pytest.approx(1.0, abs=1e-12)
+        TestMonteCarloOracle()._compare(ch, trials=200_000, seed=18)
 
 
 class TestMonteCarloOracle:
