@@ -2,20 +2,17 @@
 
 __version__ = "0.1.0"
 
-from .dicke import (ToothAmplitudes, dephased_contrast, single_excitation_contrast,
-                    w_state)
+from .dicke import ToothAmplitudes, single_excitation_contrast
 from .depthbound import (BoundProblem, DepthBoundResult, MixedBlockState,
-                         bound_curve, certify_depth, family_contrast, family_p1,
-                         family_p2, linear_bound, max_contrast)
+                         bound_curve, certify_depth, linear_bound, max_contrast)
 from .echoanalysis import (EchoFit, TimeHistogram, contrast_sweep,
                            deconvolution_factor, echo_contrast,
                            estimate_background, fit_echo)
 from .echosim import (CombSpec, EmissionTrace, PhotonSpectrum, absorb,
                       emission_trace, load_comb_trace, simulated_contrast,
                       sweep_contrast_vs_teeth)
-from .photonstats import (ChannelModel, CountRates, ExcitationProbabilities,
-                          estimate_etas, estimate_mu_from_g2,
-                          excitation_probabilities, g2_from_probabilities,
+from .photonstats import (ChannelModel, ExcitationProbabilities,
+                          estimate_mu_from_g2, excitation_probabilities,
                           write_efficiency)
 from .spectroscopy import (TM_LINBO3, MaterialParams,
                            atoms_per_tooth_from_absorption,
@@ -23,16 +20,13 @@ from .spectroscopy import (TM_LINBO3, MaterialParams,
 
 __all__ = [
     "__version__",
-    "ToothAmplitudes", "w_state", "single_excitation_contrast",
-    "dephased_contrast",
+    "ToothAmplitudes", "single_excitation_contrast",
     "CombSpec", "PhotonSpectrum", "EmissionTrace", "absorb", "emission_trace",
     "simulated_contrast", "sweep_contrast_vs_teeth", "load_comb_trace",
-    "ChannelModel", "CountRates", "ExcitationProbabilities",
-    "excitation_probabilities", "estimate_mu_from_g2",
-    "estimate_etas", "write_efficiency", "g2_from_probabilities",
-    "BoundProblem", "MixedBlockState", "DepthBoundResult", "family_contrast",
-    "family_p1", "family_p2", "max_contrast", "linear_bound", "certify_depth",
-    "bound_curve",
+    "ChannelModel", "ExcitationProbabilities",
+    "excitation_probabilities", "estimate_mu_from_g2", "write_efficiency",
+    "BoundProblem", "MixedBlockState", "DepthBoundResult", "max_contrast",
+    "linear_bound", "certify_depth", "bound_curve",
     "TimeHistogram", "EchoFit", "estimate_background", "fit_echo",
     "echo_contrast", "deconvolution_factor", "contrast_sweep",
     "MaterialParams", "TM_LINBO3", "atoms_per_tooth_from_absorption",

@@ -206,6 +206,10 @@ def _cmd_pstats(args) -> int:
 def _cmd_analyze(args) -> int:
     outdir = Path(args.out)
     if args.batch:
+        if args.subtract_background or args.deconvolve:
+            raise ConfigError("analyze --batch reports raw, subtracted and deconvolved "
+                              "contrasts; it takes no --subtract-background or "
+                              "--deconvolve")
         manifest = read_json(args.batch)
         base = Path(args.batch).parent
         rows, inputs = [], []
@@ -220,9 +224,7 @@ def _cmd_analyze(args) -> int:
             rows += contrast_sweep([(label, hist)], detector_fwhm=args.detector_fwhm or det)
             inputs += [csv_path, sidecar_path]
         prov = _provenance(inputs + [args.batch],
-                           {"subtract_background": args.subtract_background,
-                            "deconvolve": args.deconvolve,
-                            "detector_fwhm": args.detector_fwhm})
+                           {"detector_fwhm": args.detector_fwhm})
         header = ["label", "r_raw", "sigma_raw", "r_subtracted", "sigma_subtracted",
                   "r_deconvolved", "sigma_deconvolved", "error"]
         csv_rows = [[row.get(h, "") for h in header] for row in rows]
@@ -334,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--histogram", help="CSV of (bin_start_s, counts)")
     p_an.add_argument("--sidecar", help="JSON metadata for the histogram")
     p_an.add_argument("--batch", help="manifest JSON for a sweep")
+    # --batch reports every correction, so these apply to --histogram only
     p_an.add_argument("--subtract-background", action="store_true")
     p_an.add_argument("--deconvolve", action="store_true")
     p_an.add_argument("--detector-fwhm", type=float, default=None)

@@ -153,6 +153,10 @@ def _component_terms(prob: BoundProblem, i: int, w: float, v: float | None = Non
 
 
 def _state_sums(state: MixedBlockState, prob: BoundProblem):
+    """(P1, P2, contrast numerator) of the mixed block state, compensated sums.
+
+    The contrast is the numerator over the problem's P1 + 2 P2.
+    """
     if state.weights.size != prob.k:
         raise ValueError(f"state has {state.weights.size} components, expected k={prob.k}")
     s_terms, p2_terms, r_terms = [], [], []
@@ -165,26 +169,10 @@ def _state_sums(state: MixedBlockState, prob: BoundProblem):
     return math.fsum(s_terms), math.fsum(p2_terms), math.fsum(r_terms)
 
 
-def family_p1(state: MixedBlockState, prob: BoundProblem) -> float:
-    """Single-excitation probability of the mixed block state."""
-    return _state_sums(state, prob)[0]
-
-
-def family_p2(state: MixedBlockState, prob: BoundProblem) -> float:
-    """Two-excitation probability of the mixed block state."""
-    return _state_sums(state, prob)[1]
-
-
-def family_contrast(state: MixedBlockState, prob: BoundProblem) -> float:
-    """Echo contrast of the state, normalised by the problem's P1 + 2 P2."""
-    return _state_sums(state, prob)[2] / (prob.p1 + 2.0 * prob.p2)
-
-
 @dataclass
 class SolverDiagnostics:
     """Bookkeeping of one max-contrast evaluation."""
 
-    mode: str = "active_set"
     best_objective: float = math.nan
     constraint_residuals: tuple = (math.nan, math.nan)
     active_constraints: list = field(default_factory=list)
@@ -196,9 +184,6 @@ class MaxContrastResult:
     value: float
     state: MixedBlockState
     diagnostics: SolverDiagnostics
-
-    def __float__(self):
-        return self.value
 
 
 def _p2_ceiling(prob: BoundProblem) -> float:
@@ -490,7 +475,6 @@ class DepthBoundResult:
             "p1": self.p1,
             "p2": self.p2,
             "solver": {
-                "mode": self.diagnostics.mode,
                 "best_objective": self.diagnostics.best_objective,
                 "constraint_residuals": list(self.diagnostics.constraint_residuals),
                 "active_constraints": self.diagnostics.active_constraints,

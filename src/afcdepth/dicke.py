@@ -1,8 +1,9 @@
-"""Single-excitation algebra for collective dipole operators over comb teeth.
+"""Single-excitation amplitudes over comb teeth and their echo contrast.
 
 Each tooth is a two-level system; a stored excitation is described by complex
 amplitudes c_j over the teeth (the single-excitation sector), with vacuum
-carrying the remaining weight.  The echo contrast of such a state is
+carrying the remaining weight.  ``echosim.absorb`` builds them from a comb
+and a photon spectrum.  The echo contrast of such a state is
 |sum_j c_j|^2 / sum_j |c_j|^2, which reaches the tooth count N only for the
 fully symmetric (W) state.
 
@@ -47,13 +48,6 @@ class ToothAmplitudes:
         return float(np.sum(np.abs(self.c) ** 2))
 
 
-def w_state(n_teeth: int) -> ToothAmplitudes:
-    """Symmetric single-excitation state: c_j = 1/sqrt(N) for every tooth."""
-    if n_teeth < 1:
-        raise ValueError("n_teeth must be >= 1")
-    return ToothAmplitudes(np.full(n_teeth, 1.0 / np.sqrt(n_teeth), dtype=complex))
-
-
 def _amplitudes(c) -> np.ndarray:
     if isinstance(c, ToothAmplitudes):
         return c.c
@@ -72,15 +66,3 @@ def single_excitation_contrast(c) -> float:
         raise ValueError("no excitation: all amplitudes are zero")
     return float(np.abs(np.sum(amps)) ** 2 / denom)
 
-
-def dephased_contrast(c, phases) -> float:
-    """Contrast after each tooth acquired phase exp(i*phi_j).
-
-    Equals ``single_excitation_contrast`` when all phases coincide, and is
-    periodic in t with period 2*pi/Delta when phi_j = j*Delta*t.
-    """
-    amps = _amplitudes(c)
-    phi = np.asarray(phases, dtype=float).ravel()
-    if phi.size != amps.size:
-        raise ValueError(f"got {phi.size} phases for {amps.size} teeth")
-    return single_excitation_contrast(amps * np.exp(1j * phi))

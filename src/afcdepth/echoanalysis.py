@@ -104,15 +104,15 @@ class EchoFit:
     covariance: np.ndarray
 
 
-def estimate_background(hist: TimeHistogram,
-                        min_bins: int = _MIN_BACKGROUND_BINS) -> BackgroundEstimate:
+def estimate_background(hist: TimeHistogram) -> BackgroundEstimate:
     """Mean counts per bin before the herald; uncorrelated noise floor.
 
-    The standard error assumes Poisson counting statistics.
+    Needs at least 50 pre-herald bins.  The standard error assumes Poisson
+    counting statistics.
     """
     n = hist.herald_index
-    if n < min_bins:
-        raise ValueError(f"need >= {min_bins} pre-herald bins, have {n}")
+    if n < _MIN_BACKGROUND_BINS:
+        raise ValueError(f"need >= {_MIN_BACKGROUND_BINS} pre-herald bins, have {n}")
     window = hist.counts[:n]
     rate = float(window.mean())
     return BackgroundEstimate(rate=rate, stderr=math.sqrt(max(rate, 0.0) / n), n_bins=n)
@@ -122,25 +122,20 @@ def _gauss_offset(t, amplitude, t0, fwhm, offset):
     return amplitude * np.exp(-4.0 * math.log(2.0) * (t - t0) ** 2 / fwhm**2) + offset
 
 
-def fit_echo(hist: TimeHistogram, window=None) -> EchoFit:
+def fit_echo(hist: TimeHistogram) -> EchoFit:
     """Weighted least-squares Gaussian fit of the echo region.
 
-    ``window`` is a (t_lo, t_hi) interval containing the expected echo; by
-    default one storage period centred on herald + storage time.  Weights
-    are Poisson; the variance is taken at the fitted model in a second pass
-    (weighting by observed counts biases the width low at tens of counts
-    per bin, which the deconvolution factor then amplifies).  When several
+    The fit window is one storage period centred on herald + storage time.
+    Weights are Poisson; the variance is taken at the fitted model in a
+    second pass (weighting by observed counts biases the width low at tens
+    of counts per bin, which the deconvolution factor then amplifies).  When several
     local maxima fall in the window, the one nearest the expected echo time
     seeds the fit.  Raises LowSignalError when the fit fails or the
     amplitude is below three standard errors.
     """
     t_expect = hist.herald_time + hist.storage_time
-    if window is None:
-        window = (t_expect - 0.5 * hist.storage_time,
-                  t_expect + 0.5 * hist.storage_time)
-    t_lo, t_hi = window
-    if not t_lo < t_expect < t_hi:
-        raise ValueError("window does not contain herald + storage_time")
+    t_lo = t_expect - 0.5 * hist.storage_time
+    t_hi = t_expect + 0.5 * hist.storage_time
     times = hist.times
     sel = (times >= t_lo) & (times <= t_hi)
     if sel.sum() < 8:

@@ -118,24 +118,15 @@ def tooth_frequencies(comb: CombSpec) -> np.ndarray:
     return (j - (comb.n_teeth - 1) / 2.0) * comb.tooth_spacing_hz
 
 
-def absorb(comb: CombSpec, photon: PhotonSpectrum, fill_factors=None) -> ToothAmplitudes:
+def absorb(comb: CombSpec, photon: PhotonSpectrum) -> ToothAmplitudes:
     """Tooth amplitudes created by absorbing one photon.
 
     c_j is proportional to the square root of (tooth absorption probability
     x photon spectral density at the tooth centre) and normalised to unit
     excitation weight.  Uniform illumination of identical teeth gives the
-    symmetric state.  ``fill_factors`` scales the effective depth of each
-    tooth (comb-preparation imperfections).
+    symmetric state.
     """
-    if fill_factors is None:
-        fill = np.ones(comb.n_teeth)
-    else:
-        fill = np.asarray(fill_factors, dtype=float)
-        if fill.size != comb.n_teeth:
-            raise ValueError("fill_factors length must equal n_teeth")
-        if np.any(fill < 0):
-            raise ValueError("fill_factors must be non-negative")
-    p_abs = 1.0 - np.exp(-comb.d1 * fill)
+    p_abs = 1.0 - np.exp(np.full(comb.n_teeth, -comb.d1))
     density = photon.density(tooth_frequencies(comb))
     weights = p_abs * density
     total = weights.sum()
@@ -173,11 +164,10 @@ def emission_trace(c, comb: CombSpec, t_grid) -> EmissionTrace:
     return EmissionTrace(times=t, p=emission_probability(c, comb, t), t_echo=comb.echo_time)
 
 
-def simulated_contrast(c, comb: CombSpec,
-                       samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD) -> float:
+def simulated_contrast(c, comb: CombSpec) -> float:
     """Echo contrast: peak p at the first echo over the one-period average.
 
-    The average is the trapezoid rule with S = ``samples_per_period``
+    The average is the trapezoid rule with S = ``DEFAULT_SAMPLES_PER_PERIOD``
     intervals over the period T = 2 pi/Delta centred on the echo, t_m =
     T/2 + m T/S for m = 0..S; doubling S moves the result by well under
     0.1% for resolved combs.  It is evaluated spectrally, in
@@ -198,8 +188,6 @@ def simulated_contrast(c, comb: CombSpec,
     aliases tooth pairs onto each other.  Measured against the dense rule
     up to N = 564: 5e-15 relative unaliased, 1e-13 aliased (rounding).
     """
-    if samples_per_period < 1:
-        raise ValueError("samples_per_period must be >= 1")
     t_e = comb.echo_time
     amps = c.c if isinstance(c, ToothAmplitudes) else np.asarray(c, dtype=complex)
     n = amps.size
@@ -207,26 +195,25 @@ def simulated_contrast(c, comb: CombSpec,
     spectrum = np.fft.fft(amps, size)
     autocorr = np.fft.ifft(spectrum.real**2 + spectrum.imag**2)
     d_sq = dephasing_envelope(
-        comb, np.linspace(0.5 * t_e, 1.5 * t_e, samples_per_period + 1)) ** 2
+        comb, np.linspace(0.5 * t_e, 1.5 * t_e, DEFAULT_SAMPLES_PER_PERIOD + 1)) ** 2
     weights = d_sq[:-1].copy()
     weights[0] = 0.5 * (d_sq[0] + d_sq[-1])
-    integrals = np.fft.ifft(weights)
     k = np.arange(1 - n, n)
+    integrals = np.fft.ifft(weights)[k % DEFAULT_SAMPLES_PER_PERIOD]
     sign = 1.0 - 2.0 * (k & 1)
-    mean = float(np.sum(autocorr[k % size] * sign * integrals[k % samples_per_period]).real)
+    mean = float(np.sum(autocorr[k % size] * sign * integrals).real)
     if mean <= 0:
         raise ValueError("zero period-averaged emission")
     peak = float(emission_probability(amps, comb, t_e)[0])
     return peak / mean
 
 
-def sweep_contrast_vs_teeth(combs, photon: PhotonSpectrum,
-                            samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD):
+def sweep_contrast_vs_teeth(combs, photon: PhotonSpectrum):
     """Simulated contrast for each comb, as rows (n_teeth, contrast) sorted by N."""
     rows = []
     for comb in combs:
         amps = absorb(comb, photon)
-        rows.append((comb.n_teeth, simulated_contrast(amps, comb, samples_per_period)))
+        rows.append((comb.n_teeth, simulated_contrast(amps, comb)))
     rows.sort(key=lambda row: row[0])
     return rows
 

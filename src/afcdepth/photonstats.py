@@ -7,10 +7,10 @@ click behind the comb (transmission-detection efficiency eta_t).  The result
 is the probability P_r that exactly r photons were absorbed, in closed form
 from the generating function of the pair-number distribution.
 
-Also hosts the count-rate estimators for mu and the channel efficiencies.
-The closed form is cross-checked against the pair-number series and a
-Monte-Carlo simulation of the same channel, both of which live with the
-tests.
+Also hosts the channel-config reader, the 1/g2 estimate of mu and the
+write efficiency from the comb's optical depth.  The closed form is
+cross-checked against the pair-number series and a Monte-Carlo simulation
+of the same channel, both of which live with the tests.
 """
 
 from __future__ import annotations
@@ -52,25 +52,6 @@ class ChannelModel:
         """Weight Z^2 of the undetected loss modes (pre-comb loss and
         post-comb loss without a detector click)."""
         return self.eta_b * (1.0 - self.eta_w) * (1.0 - self.eta_t) + (1.0 - self.eta_b)
-
-
-@dataclass(frozen=True)
-class CountRates:
-    """Coincidence/singles rates from the calibration configuration."""
-
-    c_ab: float
-    s_a: float
-    s_b: float
-    tau_p: float
-    eta_db: float = 0.60
-
-    def __post_init__(self):
-        if min(self.c_ab, self.s_a, self.s_b) < 0:
-            raise ValueError("rates must be non-negative")
-        if self.c_ab > min(self.s_a, self.s_b) * (1 + 1e-12):
-            raise ValueError("coincidence rate exceeds a singles rate")
-        if not 0 < self.eta_db <= 1:
-            raise ValueError("eta_db must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -124,9 +105,16 @@ def excitation_probabilities(ch: ChannelModel, r_max: int = 4,
     if stats_model == "thermal":
         x = mu / (1.0 + mu)
         d = x * eta_a
-        u = 1.0 - x * z
-        w = 1.0 - (x - d) * z
-        norm = d * c / ((1.0 - x * c) * (1.0 - (x - d) * c))
+        # u = 1 - x z and u_c = 1 - x c are summed from 1 - x = 1/(1 + mu)
+        # and the loss terms, 1 - (x - d) z and 1 - (x - d) c as those plus
+        # d z and d c: at large mu x rounds to 1, and the plain differences
+        # would cancel to zero
+        vac = 1.0 / (1.0 + mu)
+        eta_b, eta_w, eta_t = ch.eta_b, ch.eta_w, ch.eta_t
+        u = vac + x * eta_b * (eta_w + eta_t - eta_w * eta_t)
+        u_c = vac + x * eta_b * eta_t * (1.0 - eta_w)
+        w = u + d * z
+        norm = d * c / (u_c * (u_c + d * c))
         log_tail = math.log1p(-d * z / w)
         p = [(a * x / u) ** r * -math.expm1(log_miss[r] + (r + 1) * log_tail)
              / (u * norm) for r in rs]
@@ -146,16 +134,6 @@ def estimate_mu_from_g2(g2_ab: float) -> float:
     return 1.0 / g2_ab
 
 
-def estimate_etas(rates: CountRates):
-    """Herald-arm and comb-arm efficiencies from coincidence/singles ratios.
-
-    eta_a = C_ab / S_b and eta_b* = C_ab / (S_a * eta_Db), valid for mu << 1.
-    """
-    if rates.s_a <= 0 or rates.s_b <= 0:
-        raise ValueError("singles rates must be positive")
-    return rates.c_ab / rates.s_b, rates.c_ab / (rates.s_a * rates.eta_db)
-
-
 def write_efficiency(d1: float, finesse: float) -> float:
     """Absorption probability 1 - exp(-d1/F) from the effective depth d1/F."""
     if d1 < 0:
@@ -163,13 +141,6 @@ def write_efficiency(d1: float, finesse: float) -> float:
     if finesse < 1:
         raise ValueError("finesse must be >= 1")
     return 1.0 - math.exp(-d1 / finesse)
-
-
-def g2_from_probabilities(p_joint: float, p_1: float, p_2: float) -> float:
-    """Second-order correlation p_joint / (p_1 * p_2) from counted windows."""
-    if p_1 <= 0 or p_2 <= 0:
-        raise ValueError("marginal probabilities must be positive")
-    return p_joint / (p_1 * p_2)
 
 
 def propagate_uncertainty(ch: ChannelModel, d1: float, finesse: float,
@@ -228,24 +199,3 @@ def load_channel_config(path):
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from None
     return model, stats_model
-
-
-def load_count_rates(path):
-    """Read count-rate rows from CSV with header C_ab,S_a,S_b,tau_p[,eta_Db]."""
-    rows = []
-    with open(path) as fh:
-        header = [h.strip() for h in fh.readline().split(",")]
-        required = ["C_ab", "S_a", "S_b", "tau_p"]
-        if header[: len(required)] != required:
-            raise ConfigError(f"{path}: expected columns {required}, got {header}")
-        has_db = len(header) > 4 and header[4] == "eta_Db"
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = [float(x) for x in line.split(",")]
-            kwargs = {}
-            if has_db and len(parts) > 4:
-                kwargs["eta_db"] = parts[4]
-            rows.append(CountRates(c_ab=parts[0], s_a=parts[1], s_b=parts[2],
-                                   tau_p=parts[3], **kwargs))
-    return rows

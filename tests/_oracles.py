@@ -3,16 +3,22 @@
 Everything here favours brute force over cleverness: the dense 2^M S+S-
 matrix and explicit tensor-product state vectors, dense grid and multi-start
 searches for max_R(M) (the full SLSQP solver over all component weights
-among them), the pair-number series for the excitation probabilities,
-Monte-Carlo sampling of the photon channel and of tooth detunings, and the
-echo contrast's period average on the dense time grid.
-Tests compare the production code against these; none of it ships in the
-library.
+among them), the pair-number series and an exact rational evaluation of
+the excitation probabilities, Monte-Carlo sampling of the photon channel and
+of tooth detunings, and the echo contrast's period average on the dense time
+grid.  Tests compare the production code against these; none of it ships in
+the library.  Two helpers the tests share sit here too: the symmetric
+single-excitation amplitudes and a map over two worker processes for the
+slowest oracle runs.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,6 +27,7 @@ from scipy import optimize
 from afcdepth.depthbound import (BoundProblem, MaxContrastResult, MixedBlockState,
                                  SolverDiagnostics, _active_constraints,
                                  _state_sums, max_contrast)
+from afcdepth.dicke import ToothAmplitudes
 from afcdepth.echosim import (DEFAULT_SAMPLES_PER_PERIOD, CombSpec,
                               emission_probability)
 from afcdepth.photonstats import ChannelModel, ExcitationProbabilities
@@ -29,6 +36,20 @@ from afcdepth.photonstats import ChannelModel, ExcitationProbabilities
 FULL_SPACE_MAX_QUBITS = 14
 # SLSQP optimum accepted when both equality constraints hold to this
 _CONSTRAINT_TOL = 1e-10
+
+
+def map_in_workers(fn, *iterables) -> list:
+    """list(map(fn, *iterables)), shared out over at most two processes.
+
+    For oracle runs that are independent of each other.  Workers are
+    spawned, not forked (the test process may hold threads), so ``fn`` must
+    be importable by name and the arguments must pickle; the results come
+    back in order.
+    """
+    workers = min(2, len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(fn, *iterables))
 
 
 def excitation_number(index: int) -> int:
@@ -48,6 +69,11 @@ def _check_dense_size(n_qubits: int):
     if n_qubits > FULL_SPACE_MAX_QUBITS:
         raise ValueError(
             f"{n_qubits} qubits exceeds the {FULL_SPACE_MAX_QUBITS}-qubit dense cap")
+
+
+def w_state(n_teeth):
+    """Symmetric single-excitation state: c_j = 1/sqrt(N) for every tooth."""
+    return ToothAmplitudes(np.full(n_teeth, n_teeth**-0.5))
 
 
 def w_ket(n_qubits: int) -> np.ndarray:
@@ -315,7 +341,7 @@ def full_max_contrast(prob: BoundProblem, n_starts: int, seed: int) -> MaxContra
         return reduced
     k = prob.k
     norm = (prob.p1 + 2.0 * prob.p2) * prob.n_teeth
-    diag = SolverDiagnostics(mode="full", p2_target=p2_target)
+    diag = SolverDiagnostics(p2_target=p2_target)
 
     memo = {"key": None, "vals": None}
 
@@ -469,6 +495,32 @@ def series_excitation_probabilities(ch: ChannelModel, r_max: int = 4,
     truncation = max(1.0 - math.fsum(probs), 0.0) + math.fsum(probs[r_max + 1:])
     return ExcitationProbabilities(p=np.asarray(probs[: r_max + 1]),
                                    truncation_error=truncation)
+
+
+def exact_thermal_probabilities(ch: ChannelModel, r_max: int = 4) -> list:
+    """Thermal-source P_r, r = 0..r_max, in exact rational arithmetic.
+
+    The channel's floats are read as exact fractions.  With p_n proportional
+    to x^n, x = mu/(1 + mu), and e = 1 - eta_a, the sums over the pair number
+    are geometric series:
+
+        sum_n y^n C(n, r) a^r z^(n-r) = (a y)^r / (1 - y z)^(r+1),
+
+    so P_r = [S_r(x) - S_r(x e)] / [1/(1 - x c) - 1/(1 - x e c)], c = a + z.
+    """
+    mu, eta_a, eta_b, eta_w, eta_t = (Fraction(v) for v in (
+        ch.mu, ch.eta_a, ch.eta_b, ch.eta_w, ch.eta_t))
+    x = mu / (1 + mu)
+    miss = 1 - eta_a
+    a = eta_b * eta_w
+    z = eta_b * (1 - eta_w) * (1 - eta_t) + (1 - eta_b)
+    c = a + z
+
+    def series(y, r):
+        return (a * y) ** r / (1 - y * z) ** (r + 1)
+
+    norm = 1 / (1 - x * c) - 1 / (1 - x * miss * c)
+    return [(series(x, r) - series(x * miss, r)) / norm for r in range(r_max + 1)]
 
 
 def monte_carlo_excitations(ch: ChannelModel, trials: int, seed: int = 0,

@@ -9,7 +9,8 @@ import time
 
 import numpy as np
 
-from _oracles import monte_carlo_excitations, sector_indices, splus_sminus_matrix
+from _oracles import (map_in_workers, monte_carlo_excitations, sector_indices,
+                      splus_sminus_matrix)
 from afcdepth.cli import main
 from afcdepth.depthbound import (BoundProblem, bound_curve, certify_depth,
                                  linear_bound, max_contrast)
@@ -80,6 +81,10 @@ def test_criterion_3_bound_curve_shape_and_ordering():
            f"(slope {slope:.3f}), pair-budget ordering={ordered}")
 
 
+def _sample_channel(channel, seed):
+    return monte_carlo_excitations(channel, 10_000_000, seed=seed)
+
+
 def test_criterion_4_photon_statistics():
     t0 = time.perf_counter()
     probs = excitation_probabilities(REFERENCE_CHANNEL)
@@ -90,15 +95,17 @@ def test_criterion_4_photon_statistics():
 
     rng = np.random.default_rng(0)
     t0 = time.perf_counter()
-    worst = 0.0
+    channels, seeds = [], []
     for _ in range(20):
-        ch = ChannelModel(mu=10 ** rng.uniform(-4, -2),
-                          eta_a=rng.uniform(0.05, 0.5),
-                          eta_b=rng.uniform(0.01, 0.3),
-                          eta_w=rng.uniform(0.05, 0.8),
-                          eta_t=rng.uniform(0.1, 0.8))
-        counts, accepted = monte_carlo_excitations(ch, 10_000_000,
-                                                   seed=int(rng.integers(2**31)))
+        channels.append(ChannelModel(mu=10 ** rng.uniform(-4, -2),
+                                     eta_a=rng.uniform(0.05, 0.5),
+                                     eta_b=rng.uniform(0.01, 0.3),
+                                     eta_w=rng.uniform(0.05, 0.8),
+                                     eta_t=rng.uniform(0.1, 0.8)))
+        seeds.append(int(rng.integers(2**31)))
+    samples = map_in_workers(_sample_channel, channels, seeds)
+    worst = 0.0
+    for ch, (counts, accepted) in zip(channels, samples):
         reference = excitation_probabilities(ch)
         for r in range(3):
             expected = reference[r] * accepted

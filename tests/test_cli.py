@@ -112,6 +112,17 @@ class TestAnalyze:
         raw = [float(r["r_raw"]) for r in rows]
         assert max(raw) == pytest.approx(70.6, abs=5.0)
 
+    @pytest.mark.parametrize("flag", ["--subtract-background", "--deconvolve"])
+    def test_batch_rejects_correction_flags(self, tmp_path, capsys, flag):
+        # the batch reports every correction; a flag it would ignore is an error
+        fixtures = tmp_path / "fixtures"
+        write_fixture_files(fixtures, seed=11)
+        out = tmp_path / "out"
+        assert_config_error(capsys, main(["analyze", "--batch",
+                                          str(fixtures / "manifest.json"), flag,
+                                          "--out", str(out)]))
+        assert not out.exists()
+
     def test_batch_uses_each_sidecars_detector_fwhm(self, tmp_path):
         fixtures = tmp_path / "fixtures"
         manifest = write_fixture_files(fixtures, seed=11)

@@ -1,6 +1,8 @@
+import functools
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,13 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (block_product_state, direct_family_values,
-                      full_max_contrast, grid_search_max,
+                      full_max_contrast, grid_search_max, map_in_workers,
                       multistart_max_contrast, p2_ceiling_loop, sector_data,
                       splus_sminus_matrix)
 from afcdepth.depthbound import (BoundProblem, MixedBlockState, _component_sp2,
-                                 _p2_ceiling, bound_curve, certify_depth,
-                                 family_contrast, family_p1, family_p2,
-                                 linear_bound, max_contrast,
+                                 _p2_ceiling, _state_sums, bound_curve,
+                                 certify_depth, linear_bound, max_contrast,
                                  slaved_remainder_weight)
 from afcdepth.errors import ContrastInconsistencyError
 
@@ -48,9 +49,10 @@ class TestFamilyEvaluation:
         prob = BoundProblem(12, 3, 2e-3, 0.0)
         state = MixedBlockState(weights=np.array([1.0, 0, 0, 0]),
                                 beta_sq=np.array([2e-3, 0, 0, 0]))
-        assert family_p1(state, prob) == pytest.approx(2e-3, rel=1e-12)
-        assert family_p2(state, prob) == 0.0
-        assert family_contrast(state, prob) == pytest.approx(3.0, rel=1e-12)
+        p1, p2, num = _state_sums(state, prob)
+        assert p1 == pytest.approx(2e-3, rel=1e-12)
+        assert p2 == 0.0
+        assert num / (prob.p1 + 2 * prob.p2) == pytest.approx(3.0, rel=1e-12)
 
     def test_separable_limit_approaches_tooth_count(self):
         n = 40
@@ -63,9 +65,10 @@ class TestFamilyEvaluation:
         q[-1] = 1.0
         b[-1] = beta_sq
         state = MixedBlockState(weights=q, beta_sq=b)
-        assert family_contrast(state, prob) == pytest.approx(n, rel=1e-3)
+        _, p2_f, num = _state_sums(state, prob)
+        assert num / (prob.p1 + 2 * prob.p2) == pytest.approx(n, rel=1e-3)
         # the pair probability approaches P1^2/2 with a (1 - 1/n) factor
-        assert family_p2(state, prob) == pytest.approx(p1**2 / 2, rel=1.5 / n)
+        assert p2_f == pytest.approx(p1**2 / 2, rel=1.5 / n)
 
     @pytest.mark.parametrize("n,depth", [(10, 2), (11, 2), (12, 4), (9, 4)])
     def test_matches_explicit_tensor_states(self, n, depth):
@@ -76,9 +79,7 @@ class TestFamilyEvaluation:
             q = rng.dirichlet(np.ones(k))
             b = rng.uniform(0.01, 0.5, size=k)
             state = MixedBlockState(weights=q, beta_sq=b)
-            p1_f = family_p1(state, prob)
-            p2_f = family_p2(state, prob)
-            num_f = family_contrast(state, prob) * (prob.p1 + 2 * prob.p2)
+            p1_f, p2_f, num_f = _state_sums(state, prob)
             p1_d, p2_d, num_d = direct_family_values(state, prob)
             assert p1_f == pytest.approx(p1_d, rel=1e-10)
             assert p2_f == pytest.approx(p2_d, rel=1e-10)
@@ -89,9 +90,9 @@ class TestFamilyEvaluation:
         state = MixedBlockState(weights=np.array([0.7]), beta_sq=np.array([0.2]),
                                 beta_kprime_sq=0.05)
         p1_d, p2_d, num_d = direct_family_values(state, prob)
-        assert family_p1(state, prob) == pytest.approx(p1_d, rel=1e-12)
-        assert family_p2(state, prob) == pytest.approx(p2_d, rel=1e-12)
-        num_f = family_contrast(state, prob) * (prob.p1 + 2 * prob.p2)
+        p1_f, p2_f, num_f = _state_sums(state, prob)
+        assert p1_f == pytest.approx(p1_d, rel=1e-12)
+        assert p2_f == pytest.approx(p2_d, rel=1e-12)
         assert num_f == pytest.approx(num_d, rel=1e-12)
 
     def test_slaved_remainder_gives_uniform_single_excitation(self):
@@ -115,7 +116,7 @@ class TestFamilyEvaluation:
         prob = BoundProblem(n, depth, weights[1], weights[2])
         state = MixedBlockState(weights=np.array([0, 0, 0, 1.0]),
                                 beta_sq=np.array([0, 0, 0, 0.3]))
-        num_f = family_contrast(state, prob) * (prob.p1 + 2 * prob.p2)
+        num_f = _state_sums(state, prob)[2]
         assert num_f == pytest.approx(abs(single_sum) ** 2, rel=1e-10)
 
 
@@ -134,8 +135,9 @@ class TestMaxContrast:
     def test_constraints_hit_exactly(self):
         res = max_contrast(headline_problem(229))
         prob = headline_problem(229)
-        assert family_p1(res.state, prob) == pytest.approx(prob.p1, rel=1e-10)
-        assert family_p2(res.state, prob) == pytest.approx(prob.p2, rel=1e-10)
+        p1, p2, _ = _state_sums(res.state, prob)
+        assert p1 == pytest.approx(prob.p1, rel=1e-10)
+        assert p2 == pytest.approx(prob.p2, rel=1e-10)
 
     @pytest.mark.parametrize("depth", [1, 50, 100, 229, 400])
     def test_linear_prediction_brackets(self, depth):
@@ -196,14 +198,27 @@ CAPPED = BoundProblem(11, 2, 0.39, 0.29)
 class TestActiveSetEvaluation:
     def test_tail_ratio_strictly_decreasing(self):
         # the evaluator takes the smallest feasible w because s/p2 falls in w;
-        # every M with k >= 2 for N <= 600 covers k' = 0 and slaved remainders
+        # every M with k >= 2 for N <= 600 covers k' = 0 and slaved remainders.
+        # Depths sharing (k, k') are evaluated as one array, a row per depth.
         w = np.union1d(np.geomspace(1e-12, 0.5, 200), 1.0 - np.geomspace(1e-9, 0.5, 200))
+        groups = {}
         for n in range(2, 601):
             for depth in range(1, n // 2 + 1):
-                prob = BoundProblem(n, depth, 1e-3, 0.0)
-                s, p2 = _component_sp2(prob, prob.k, w)
-                live = p2 > 1e-300  # (1 - w)^(k - 2) underflows near w = 1
-                assert np.all(np.diff(s[live] / p2[live]) < 0), (n, depth)
+                groups.setdefault((n // depth, n % depth), []).append(depth)
+        cols = np.arange(w.size)
+        for (k, k_prime), depths in groups.items():
+            prob = SimpleNamespace(k=k, k_prime=k_prime,
+                                   depth=np.array(depths)[:, None])
+            s, p2 = np.atleast_2d(*_component_sp2(prob, k, w))
+            live = p2 > 1e-300  # (1 - w)^(k - 2) underflows near w = 1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = s / p2
+            # compare each live point with the live point before it
+            last = np.maximum.accumulate(np.where(live, cols, -1), axis=1)
+            step = np.diff(np.take_along_axis(ratio, np.maximum(last, 0), axis=1), axis=1)
+            checked = live[:, 1:] & (last[:, :-1] >= 0)
+            bad = np.flatnonzero(np.any(checked & ~(step < 0), axis=1))
+            assert bad.size == 0, [(k * depths[i] + k_prime, depths[i]) for i in bad]
 
     @settings(max_examples=60, deadline=None)
     @given(oracle_problems())
@@ -229,8 +244,8 @@ class TestActiveSetEvaluation:
         assert res.diagnostics.p2_target < CAPPED.p2
         assert _p2_ceiling(CAPPED) == pytest.approx(ceiling, rel=1e-14)
         assert res.diagnostics.p2_target == pytest.approx(ceiling * (1 - 1e-9), rel=1e-14)
-        assert family_p2(res.state, CAPPED) == pytest.approx(res.diagnostics.p2_target,
-                                                              rel=1e-10)
+        assert _state_sums(res.state, CAPPED)[1] == pytest.approx(
+            res.diagnostics.p2_target, rel=1e-10)
 
     def test_recorded_reference_values(self):
         problems = json.loads(REFERENCE_BOUND.read_text())["problems"]
@@ -247,9 +262,11 @@ class TestActiveSetEvaluation:
 
 class TestOptimumStructure:
     def test_two_live_components_and_full_agreement(self):
-        for prob in random_regime_instances(20):
+        problems = random_regime_instances(20)
+        fulls = map_in_workers(functools.partial(full_max_contrast, n_starts=40, seed=0),
+                               problems)
+        for prob, full in zip(problems, fulls):
             reduced = max_contrast(prob)
-            full = full_max_contrast(prob, n_starts=40, seed=0)
             assert full.value == pytest.approx(reduced.value, rel=1e-6), prob
             weights = np.sort(full.state.weights)
             assert np.all(weights[:-2] <= 1e-9), (prob, full.state.weights)
@@ -319,8 +336,8 @@ class TestCertifyDepth:
         res = certify_depth(40.0, 2.0, 100, 2e-3, 1e-8)
         payload = res.to_dict()
         assert payload["m_lower"] == res.m_lower
-        assert payload["solver"]["mode"] == "active_set"
-        assert "n_starts" not in payload["solver"]
+        assert set(payload["solver"]) == {"best_objective", "constraint_residuals",
+                                          "active_constraints"}
 
 
 class TestBoundCurve:

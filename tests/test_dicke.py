@@ -5,27 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import sector_indices, splus_sminus_matrix, w_ket
-from afcdepth.dicke import (ToothAmplitudes, dephased_contrast,
-                            single_excitation_contrast, w_state)
+from _oracles import sector_indices, splus_sminus_matrix, w_ket, w_state
+from afcdepth.dicke import ToothAmplitudes, single_excitation_contrast
 
 
 class TestWState:
     def test_single_tooth(self):
-        assert np.allclose(w_state(1).c, [1.0])
+        state = w_state(1)
+        assert state.c.dtype == complex
+        assert np.allclose(state.c, [1.0])
 
     def test_four_teeth(self):
-        assert np.allclose(w_state(4).c, [0.5, 0.5, 0.5, 0.5])
+        state = w_state(4)
+        assert state.n_teeth == 4
+        assert np.allclose(state.c, [0.5, 0.5, 0.5, 0.5])
 
     def test_large_comb_amplitude(self):
         state = w_state(564)
-        assert state.c.size == 564
+        assert state.n_teeth == 564
         assert state.c[0] == pytest.approx(0.042108, abs=1e-6)
-        assert np.sum(np.abs(state.c) ** 2) == pytest.approx(1.0, abs=1e-12)
+        assert state.excitation_weight == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_teeth_rejected(self):
         with pytest.raises(ValueError):
-            w_state(0)
+            ToothAmplitudes(np.zeros(0))
 
 
 class TestContrast:
@@ -64,9 +67,15 @@ class TestContrast:
 
 
 class TestDephasedContrast:
+    """Contrast after tooth j acquired the phase exp(i phi_j)."""
+
+    @staticmethod
+    def dephased(state, phases):
+        return single_excitation_contrast(state.c * np.exp(1j * np.asarray(phases)))
+
     def test_zero_phases_match_plain_contrast(self):
         state = w_state(3)
-        assert dephased_contrast(state, [0.0, 0.0, 0.0]) == pytest.approx(3.0)
+        assert self.dephased(state, [0.0, 0.0, 0.0]) == pytest.approx(3.0)
 
     def test_rephasing_at_echo_time(self):
         n = 17
@@ -74,7 +83,7 @@ class TestDephasedContrast:
         delta = 2 * math.pi * 0.2e9
         t_echo = 2 * math.pi / delta
         phases = np.arange(n) * delta * t_echo
-        assert dephased_contrast(state, phases) == pytest.approx(n, rel=1e-9)
+        assert self.dephased(state, phases) == pytest.approx(n, rel=1e-9)
 
     def test_periodic_in_echo_time(self):
         n = 7
@@ -82,17 +91,13 @@ class TestDephasedContrast:
         delta = 1.0
         t = 0.3
         period = 2 * math.pi / delta
-        a = dephased_contrast(state, np.arange(n) * delta * t)
-        b = dephased_contrast(state, np.arange(n) * delta * (t + period))
+        a = self.dephased(state, np.arange(n) * delta * t)
+        b = self.dephased(state, np.arange(n) * delta * (t + period))
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_fourth_roots_cancel(self):
         phases = [0, math.pi / 2, math.pi, 3 * math.pi / 2]
-        assert dephased_contrast(w_state(4), phases) == pytest.approx(0.0, abs=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            dephased_contrast(w_state(3), [0.0, 0.0])
+        assert self.dephased(w_state(4), phases) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestCollectiveLoweringProduct:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import dense_simulated_contrast, mc_emission_probability
-from afcdepth.dicke import w_state
+from _oracles import dense_simulated_contrast, mc_emission_probability, w_state
+from afcdepth import echosim
 from afcdepth.echosim import (CombSpec, PhotonSpectrum, absorb,
                               dephasing_envelope, emission_probability,
                               emission_trace, load_comb_trace,
@@ -54,12 +54,6 @@ class TestAbsorb:
         photon = PhotonSpectrum("lorentzian", fwhm=600e9)  # 100x the comb
         amps = np.abs(absorb(comb, photon).c)
         assert amps.max() / amps.min() < 1.01
-
-    def test_fill_factors_modulate_weights(self):
-        comb = ideal_comb(4)
-        amps = absorb(comb, FLAT, fill_factors=[1.0, 1.0, 1.0, 0.0])
-        assert amps.c[3] == 0.0
-        assert np.sum(np.abs(amps.c) ** 2) == pytest.approx(1.0)
 
 
 class TestEmissionTrace:
@@ -141,19 +135,20 @@ class TestSimulatedContrast:
     def test_quadrature_refinement_stable(self):
         comb = CombSpec.from_bandwidth(30, 6e9, finesse=5.0)
         amps = absorb(comb, PhotonSpectrum("lorentzian", fwhm=6e9))
-        r1 = simulated_contrast(amps, comb, samples_per_period=10_000)
-        r2 = simulated_contrast(amps, comb, samples_per_period=20_000)
+        r1 = simulated_contrast(amps, comb)  # 10_000 samples per period
+        r2 = dense_simulated_contrast(amps, comb, 20_000)
         assert abs(r2 - r1) / r1 < 1e-3
 
     @pytest.mark.parametrize("shape", ["gaussian", "lorentzian", "square"])
     @pytest.mark.parametrize("finesse", [math.inf, 10.0, 3.0])
     @pytest.mark.parametrize("samples", [10_000, 100])  # 100 < 2N: the rule aliases
-    def test_matches_dense_trapezoid(self, shape, finesse, samples):
+    def test_matches_dense_trapezoid(self, shape, finesse, samples, monkeypatch):
+        monkeypatch.setattr(echosim, "DEFAULT_SAMPLES_PER_PERIOD", samples)
         comb = CombSpec.from_bandwidth(94, 6e9, finesse=finesse, tooth_shape=shape)
         lorentzian = absorb(comb, PhotonSpectrum("lorentzian", fwhm=3e9)).c
         phases = np.exp(2j * np.pi * np.random.default_rng(5).random(comb.n_teeth))
         for amps in (absorb(comb, FLAT), lorentzian, lorentzian * phases):
-            assert simulated_contrast(amps, comb, samples) == pytest.approx(
+            assert simulated_contrast(amps, comb) == pytest.approx(
                 dense_simulated_contrast(amps, comb, samples), rel=1e-12, abs=0.0)
 
     def test_dephasing_only_hurts(self):
