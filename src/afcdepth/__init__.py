@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .dicke import ToothAmplitudes, single_excitation_contrast
 from .depthbound import (BoundProblem, DepthBoundResult, MixedBlockState,
                          bound_curve, certify_depth, linear_bound, max_contrast)
-from .echoanalysis import (EchoFit, TimeHistogram, contrast_sweep,
+from .echoanalysis import (EchoFit, TimeHistogram, analyze_echo, contrast_sweep,
                            deconvolution_factor, echo_contrast,
                            estimate_background, fit_echo)
 from .echosim import (CombSpec, EmissionTrace, PhotonSpectrum, absorb,
@@ -28,7 +28,7 @@ __all__ = [
     "BoundProblem", "MixedBlockState", "DepthBoundResult", "max_contrast",
     "linear_bound", "certify_depth", "bound_curve",
     "TimeHistogram", "EchoFit", "estimate_background", "fit_echo",
-    "echo_contrast", "deconvolution_factor", "contrast_sweep",
+    "echo_contrast", "deconvolution_factor", "analyze_echo", "contrast_sweep",
     "MaterialParams", "TM_LINBO3", "atoms_per_tooth_from_absorption",
     "atoms_per_tooth_from_single_ion",
 ]

@@ -5,8 +5,13 @@ library and writes JSON for scalar results and CSV for curves, with a
 provenance header (version, input hashes, config) and no timestamps.  One
 payload function builds each of ``pstats.json``, ``analysis.json`` and
 ``bound.json``, for the stage's own subcommand and for ``pipeline`` alike.
-The output directory is made at the first write.  Exit status 2 means an
-input could not be read, 1 that the library rejected it.
+``analysis.json`` holds one histogram's fit and its raw, background-subtracted
+and deconvolved contrast (``echoanalysis.analyze_echo``); its ``r``/``sigma``
+repeat the deconvolved pair, which is what ``bound`` certifies.
+``analyze --batch`` writes the same record per manifest entry to
+``sweep.json`` (``{"rows": [...]}``) and ``sweep.csv``.  The output directory
+is made at the first write.  Exit status 2 means an input could not be read,
+1 that the library rejected it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 from . import __version__
 from ._inputs import field, read_json, typed
 from .depthbound import bound_curve, certify_depth, linear_bound
-from .echoanalysis import TimeHistogram, contrast_sweep, echo_contrast, fit_echo
+from .echoanalysis import TimeHistogram, analyze_echo, contrast_sweep
 from .echosim import (CombSpec, PhotonSpectrum, absorb, emission_trace,
                       load_comb_trace, simulated_contrast, sweep_contrast_vs_teeth)
 from .errors import ConfigError, ToolkitError
@@ -86,29 +91,12 @@ def _pstats_payload(channel, stats_model):
     }
 
 
-def _analysis_payload(label, hist, detector_fwhm, subtract, deconvolve):
-    """analysis.json: the echo fit with its raw and corrected contrast."""
-    fit = fit_echo(hist)
-    r_raw, s_raw = echo_contrast(fit)
-    r, s = r_raw, s_raw
-    if subtract or deconvolve:
-        r, s = echo_contrast(fit, subtract_background=subtract,
-                             deconvolve=deconvolve, detector_fwhm=detector_fwhm)
-    return {
-        "label": label,
-        "amplitude": fit.amplitude,
-        "t0": fit.t0,
-        "fwhm": fit.fwhm,
-        "offset": fit.offset,
-        "background": fit.background,
-        "window_average": fit.window_average,
-        "r_raw": r_raw,
-        "sigma_raw": s_raw,
-        "r": r,
-        "sigma": s,
-        "subtract_background": subtract,
-        "deconvolve": deconvolve,
-    }
+def _analysis_payload(label, hist, detector_fwhm):
+    """analysis.json: the echo fit with its three contrasts; ``r``/``sigma``
+    repeat the deconvolved pair, the contrast ``bound`` certifies."""
+    payload = {"label": label, **analyze_echo(hist, detector_fwhm)}
+    payload["r"], payload["sigma"] = payload["r_deconvolved"], payload["sigma_deconvolved"]
+    return payload
 
 
 def _bound_payload(contrast, sigma, n_teeth, p1, p2):
@@ -203,13 +191,16 @@ def _cmd_pstats(args) -> int:
     return 0
 
 
+def _detector_fwhm(args, sidecar_fwhm):
+    """--detector-fwhm when given (0 included), else the sidecar's value."""
+    return sidecar_fwhm if args.detector_fwhm is None else args.detector_fwhm
+
+
 def _cmd_analyze(args) -> int:
     outdir = Path(args.out)
     if args.batch:
-        if args.subtract_background or args.deconvolve:
-            raise ConfigError("analyze --batch reports raw, subtracted and deconvolved "
-                              "contrasts; it takes no --subtract-background or "
-                              "--deconvolve")
+        if args.histogram or args.sidecar:
+            raise ConfigError("analyze takes --batch or --histogram/--sidecar, not both")
         manifest = read_json(args.batch)
         base = Path(args.batch).parent
         rows, inputs = [], []
@@ -221,27 +212,23 @@ def _cmd_analyze(args) -> int:
             hist, det = TimeHistogram.from_csv(csv_path, sidecar_path)
             # each histogram is deconvolved with its own sidecar's detector
             # FWHM unless --detector-fwhm overrides them all
-            rows += contrast_sweep([(label, hist)], detector_fwhm=args.detector_fwhm or det)
+            rows += contrast_sweep([(label, hist)], _detector_fwhm(args, det))
             inputs += [csv_path, sidecar_path]
         prov = _provenance(inputs + [args.batch],
                            {"detector_fwhm": args.detector_fwhm})
         header = ["label", "r_raw", "sigma_raw", "r_subtracted", "sigma_subtracted",
                   "r_deconvolved", "sigma_deconvolved", "error"]
         csv_rows = [[row.get(h, "") for h in header] for row in rows]
-        _write_csv(outdir / "analysis.csv", header, csv_rows, prov)
-        _write_json(outdir / "analysis.json", {"rows": rows}, prov)
+        _write_csv(outdir / "sweep.csv", header, csv_rows, prov)
+        _write_json(outdir / "sweep.json", {"rows": rows}, prov)
         return 0
 
     if not (args.histogram and args.sidecar):
         raise ConfigError("analyze needs --histogram and --sidecar (or --batch)")
     hist, det = TimeHistogram.from_csv(args.histogram, args.sidecar)
-    detector = args.detector_fwhm or det
-    report = _analysis_payload(Path(args.histogram).stem, hist, detector,
-                               args.subtract_background, args.deconvolve)
-    prov = _provenance([args.histogram, args.sidecar],
-                       {"subtract_background": args.subtract_background,
-                        "deconvolve": args.deconvolve,
-                        "detector_fwhm": detector})
+    detector = _detector_fwhm(args, det)
+    report = _analysis_payload(Path(args.histogram).stem, hist, detector)
+    prov = _provenance([args.histogram, args.sidecar], {"detector_fwhm": detector})
     _write_json(outdir / "analysis.json", report, prov)
     return 0
 
@@ -290,8 +277,10 @@ def _cmd_pipeline(args) -> int:
     channel_path = base / field(cfg, "channel_config", str, what)
     hist_cfg = field(cfg, "histogram", dict, what)
     n_teeth = field(cfg, "n_teeth", int, what)
-    subtract = field(cfg, "subtract_background", bool, what, True)
-    deconvolve = field(cfg, "deconvolve", bool, what, True)
+    for key in ("subtract_background", "deconvolve"):
+        if not field(cfg, key, bool, what, True):
+            raise ConfigError(f"pipeline certifies the deconvolved contrast, so '{key}' "
+                              "cannot be false (run bound with R = r_raw for the raw one)")
     csv_path = base / field(hist_cfg, "csv", str, "pipeline histogram")
     sidecar_path = base / field(hist_cfg, "sidecar", str, "pipeline histogram")
     prov = _provenance([args.config, channel_path, csv_path, sidecar_path], cfg)
@@ -299,7 +288,7 @@ def _cmd_pipeline(args) -> int:
     channel, stats_model = load_channel_config(channel_path)
     pstats = _pstats_payload(channel, stats_model)
     hist, detector = TimeHistogram.from_csv(csv_path, sidecar_path)
-    analysis = _analysis_payload(csv_path.stem, hist, detector, subtract, deconvolve)
+    analysis = _analysis_payload(csv_path.stem, hist, detector)
     bound = _bound_payload(analysis["r"], analysis["sigma"], n_teeth,
                            pstats["p1"], pstats["p2"])
 
@@ -336,10 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--histogram", help="CSV of (bin_start_s, counts)")
     p_an.add_argument("--sidecar", help="JSON metadata for the histogram")
     p_an.add_argument("--batch", help="manifest JSON for a sweep")
-    # --batch reports every correction, so these apply to --histogram only
-    p_an.add_argument("--subtract-background", action="store_true")
-    p_an.add_argument("--deconvolve", action="store_true")
-    p_an.add_argument("--detector-fwhm", type=float, default=None)
+    p_an.add_argument("--detector-fwhm", type=float, default=None,
+                      help="detector jitter FWHM in s (default: each sidecar's)")
     p_an.set_defaults(func=_cmd_analyze)
 
     p_bd = sub.add_parser("bound", help="certify an entanglement-depth lower bound")

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from ._inputs import field, read_json, read_table
-from .errors import ConfigError, DeconvolutionError, LowSignalError
+from .errors import ConfigError, DeconvolutionError, LowSignalError, ToolkitError
 
 DETECTOR_FWHM_DEFAULT = 354e-12
 
@@ -260,28 +260,40 @@ def echo_contrast(fit: EchoFit, subtract_background: bool = False,
     return ratio, math.sqrt(max(var, 0.0))
 
 
-def contrast_sweep(items, detector_fwhm: float = DETECTOR_FWHM_DEFAULT):
-    """Full analysis chain over (label, TimeHistogram) pairs.
+def analyze_echo(hist: TimeHistogram, detector_fwhm: float = DETECTOR_FWHM_DEFAULT):
+    """Fit the echo and report its raw, background-subtracted and deconvolved contrast.
 
-    Emits one dict per histogram with raw, background-subtracted, and
-    deconvolved contrasts; per-row failures are reported in an 'error' field
-    and the sweep continues.
+    Returns one dict: the fit (amplitude, t0, fwhm, offset, background,
+    window_average) plus ``r_<kind>`` and ``sigma_<kind>`` for kind = raw,
+    subtracted and deconvolved.  Raises when any of the three fails, e.g.
+    DeconvolutionError when the echo is not wider than the detector response.
+    """
+    fit = fit_echo(hist)
+    record = {"amplitude": fit.amplitude, "t0": fit.t0, "fwhm": fit.fwhm,
+              "offset": fit.offset, "background": fit.background,
+              "window_average": fit.window_average}
+    for kind, subtract, deconvolve in (("raw", False, False), ("subtracted", True, False),
+                                       ("deconvolved", True, True)):
+        record[f"r_{kind}"], record[f"sigma_{kind}"] = echo_contrast(
+            fit, subtract_background=subtract, deconvolve=deconvolve,
+            detector_fwhm=detector_fwhm)
+    return record
+
+
+def contrast_sweep(items, detector_fwhm: float = DETECTOR_FWHM_DEFAULT):
+    """``analyze_echo`` over (label, TimeHistogram) pairs.
+
+    Emits one dict per histogram, ``{"label": ...}`` plus its record.  A row
+    whose histogram the chain rejects (a ToolkitError, ValueError or
+    ArithmeticError) gets an 'error' field instead and the sweep continues;
+    any other exception is a fault and propagates.
     """
     rows = []
     for label, hist in items:
         row = {"label": label}
         try:
-            fit = fit_echo(hist)
-            r_raw, s_raw = echo_contrast(fit)
-            r_sub, s_sub = echo_contrast(fit, subtract_background=True)
-            r_dec, s_dec = echo_contrast(fit, subtract_background=True,
-                                         deconvolve=True,
-                                         detector_fwhm=detector_fwhm)
-            row.update(r_raw=r_raw, sigma_raw=s_raw, r_subtracted=r_sub,
-                       sigma_subtracted=s_sub, r_deconvolved=r_dec,
-                       sigma_deconvolved=s_dec, fwhm=fit.fwhm,
-                       amplitude=fit.amplitude)
-        except Exception as exc:  # noqa: BLE001 - row isolation is the contract
+            row.update(analyze_echo(hist, detector_fwhm))
+        except (ToolkitError, ValueError, ArithmeticError) as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
     return rows

@@ -121,16 +121,15 @@ def tooth_frequencies(comb: CombSpec) -> np.ndarray:
 def absorb(comb: CombSpec, photon: PhotonSpectrum) -> ToothAmplitudes:
     """Tooth amplitudes created by absorbing one photon.
 
-    c_j is proportional to the square root of (tooth absorption probability
-    x photon spectral density at the tooth centre) and normalised to unit
-    excitation weight.  Uniform illumination of identical teeth gives the
-    symmetric state.
+    c_j is proportional to the square root of the photon spectral density at
+    the tooth centre, normalised to unit excitation weight.  Every tooth
+    absorbs with the same probability 1 - exp(-d1), which cancels in the
+    normalisation; d1 = 0 absorbs nothing.  Uniform illumination of
+    identical teeth gives the symmetric state.
     """
-    p_abs = 1.0 - np.exp(np.full(comb.n_teeth, -comb.d1))
-    density = photon.density(tooth_frequencies(comb))
-    weights = p_abs * density
+    weights = photon.density(tooth_frequencies(comb))
     total = weights.sum()
-    if total <= 0:
+    if comb.d1 == 0 or total <= 0:
         raise ValueError("comb absorbs nothing: zero absorption weight")
     return ToothAmplitudes(np.sqrt(weights / total).astype(complex))
 

@@ -84,20 +84,23 @@ class TestPstats:
             assert "probability zero" in message["message"]
 
 
+def analyze_histogram(fixtures, entry, out, *extra):
+    return main(["analyze", "--histogram", str(fixtures / entry["csv"]),
+                 "--sidecar", str(fixtures / entry["sidecar"]), *extra,
+                 "--out", str(out)])
+
+
 class TestAnalyze:
     def test_single_histogram(self, tmp_path):
         fixtures = tmp_path / "fixtures"
         manifest = write_fixture_files(fixtures, seed=11)
         entry = next(e for e in manifest["histograms"] if e["label"] == "564")
         out = tmp_path / "out"
-        code = main(["analyze",
-                     "--histogram", str(fixtures / entry["csv"]),
-                     "--sidecar", str(fixtures / entry["sidecar"]),
-                     "--subtract-background", "--deconvolve",
-                     "--out", str(out)])
-        assert code == 0
+        assert analyze_histogram(fixtures, entry, out) == 0
         report = read_json(out / "analysis.json")
-        assert report["r"] > report["r_raw"]
+        assert (report["r"], report["sigma"]) == (report["r_deconvolved"],
+                                                  report["sigma_deconvolved"])
+        assert report["r_raw"] < report["r_subtracted"] < report["r"]
         assert report["sigma"] > 0
 
     def test_batch_manifest(self, tmp_path):
@@ -107,20 +110,89 @@ class TestAnalyze:
         code = main(["analyze", "--batch", str(fixtures / "manifest.json"),
                      "--out", str(out)])
         assert code == 0
-        rows = read_csv_rows(out / "analysis.csv")
+        rows = read_csv_rows(out / "sweep.csv")
         assert len(rows) == 7
         raw = [float(r["r_raw"]) for r in rows]
         assert max(raw) == pytest.approx(70.6, abs=5.0)
+        assert len(read_json(out / "sweep.json")["rows"]) == 7
+        assert not (out / "analysis.json").exists()
 
+    def test_batch_rows_equal_single_histogram_reports(self, tmp_path):
+        fixtures = tmp_path / "fixtures"
+        manifest = write_fixture_files(fixtures, seed=11)
+        # label each entry as --histogram does, by its CSV's stem
+        for entry in manifest["histograms"]:
+            entry["label"] = Path(entry["csv"]).stem
+        (fixtures / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["analyze", "--batch", str(fixtures / "manifest.json"),
+                     "--out", str(tmp_path / "batch")]) == 0
+        rows = read_json(tmp_path / "batch" / "sweep.json")["rows"]
+        assert len(rows) == len(manifest["histograms"])
+        for entry, row in zip(manifest["histograms"], rows):
+            out = tmp_path / entry["label"]
+            assert analyze_histogram(fixtures, entry, out) == 0
+            report = read_json(out / "analysis.json")
+            for key in ("r", "sigma", "_provenance"):
+                del report[key]
+            assert row == report, entry["label"]
+
+    @pytest.mark.parametrize("mode", ["histogram", "batch"])
     @pytest.mark.parametrize("flag", ["--subtract-background", "--deconvolve"])
-    def test_batch_rejects_correction_flags(self, tmp_path, capsys, flag):
-        # the batch reports every correction; a flag it would ignore is an error
+    def test_correction_flags_are_gone(self, tmp_path, capsys, mode, flag):
+        # every analyze run reports all three contrasts, so no flag selects one
+        fixtures = tmp_path / "fixtures"
+        manifest = write_fixture_files(fixtures, seed=11)
+        entry = manifest["histograms"][0]
+        inputs = (["--batch", str(fixtures / "manifest.json")] if mode == "batch" else
+                  ["--histogram", str(fixtures / entry["csv"]),
+                   "--sidecar", str(fixtures / entry["sidecar"])])
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", *inputs, flag, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--histogram", "--sidecar"])
+    def test_batch_with_a_single_histogram_input(self, tmp_path, capsys, flag):
         fixtures = tmp_path / "fixtures"
         write_fixture_files(fixtures, seed=11)
         out = tmp_path / "out"
         assert_config_error(capsys, main(["analyze", "--batch",
-                                          str(fixtures / "manifest.json"), flag,
+                                          str(fixtures / "manifest.json"),
+                                          flag, str(fixtures / "hist_564.csv"),
                                           "--out", str(out)]))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["histogram", "batch"])
+    def test_zero_detector_fwhm_means_no_jitter(self, tmp_path, mode):
+        fixtures = tmp_path / "fixtures"
+        manifest = write_fixture_files(fixtures, seed=11)
+        out = tmp_path / "out"
+        if mode == "batch":
+            assert main(["analyze", "--batch", str(fixtures / "manifest.json"),
+                         "--detector-fwhm", "0", "--out", str(out)]) == 0
+            written = read_json(out / "sweep.json")
+            reports = written["rows"]
+        else:
+            entry = manifest["histograms"][-1]
+            assert analyze_histogram(fixtures, entry, out, "--detector-fwhm", "0") == 0
+            written = read_json(out / "analysis.json")
+            reports = [written]
+        assert written["_provenance"]["config"] == {"detector_fwhm": 0.0}
+        for report in reports:
+            assert report["r_deconvolved"] == report["r_subtracted"]
+            assert report["sigma_deconvolved"] == report["sigma_subtracted"]
+
+    def test_echo_narrower_than_detector_is_exit_one(self, tmp_path, capsys):
+        # analyze always deconvolves, so a detector wider than the echo fails
+        fixtures = tmp_path / "fixtures"
+        manifest = write_fixture_files(fixtures, seed=11)
+        entry = manifest["histograms"][-1]
+        out = tmp_path / "out"
+        assert analyze_histogram(fixtures, entry, out, "--detector-fwhm", "1e-8") == 1
+        message = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert message["error"] == "DeconvolutionError"
         assert not out.exists()
 
     def test_batch_uses_each_sidecars_detector_fwhm(self, tmp_path):
@@ -147,7 +219,7 @@ class TestAnalyze:
             if override:
                 argv += ["--detector-fwhm", str(override)]
             assert main(argv) == 0
-            rows = read_csv_rows(out / "analysis.csv")
+            rows = read_csv_rows(out / "sweep.csv")
             got = [float(row["r_deconvolved"]) for row in rows[:3]]
             assert got == [expected(entry, override) for entry in entries[:3]]
             assert len(set(got[:2])) == 2
@@ -232,7 +304,6 @@ class TestPipeline:
                      "--out", str(stages)]) == 0
         assert main(["analyze", "--histogram", str(fixtures / "hist_564.csv"),
                      "--sidecar", str(fixtures / "hist_564.json"),
-                     "--subtract-background", "--deconvolve",
                      "--out", str(stages)]) == 0
         analysis = read_json(stages / "analysis.json")
         pstats = read_json(stages / "pstats.json")
@@ -421,6 +492,17 @@ class TestMalformedNestedConfig:
                                       "trace": {"comb_index": 1}}))
         assert_config_error(capsys, main(["simulate", "--config", str(config),
                                           "--out", str(tmp_path / "out")]))
+
+    @pytest.mark.parametrize("key", ["subtract_background", "deconvolve"])
+    def test_pipeline_certifies_only_the_corrected_contrast(self, tmp_path, capsys, key):
+        config = TestPipeline().make_inputs(tmp_path)
+        cfg = read_json(config)
+        cfg[key] = False
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert_config_error(capsys, main(["pipeline", "--config", str(config),
+                                          "--out", str(out)]))
+        assert not out.exists()
 
     def test_pipeline_booleans_are_strict(self, tmp_path, capsys):
         config = TestPipeline().make_inputs(tmp_path)

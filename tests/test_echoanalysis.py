@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from afcdepth import echoanalysis
 from afcdepth.echoanalysis import (DETECTOR_FWHM_DEFAULT, TimeHistogram,
                                    contrast_sweep, deconvolution_factor,
                                    echo_contrast, estimate_background, fit_echo)
@@ -174,9 +175,12 @@ class TestContrastSweep:
         hist, _ = headline_fixture(seed=11, scale=8)
         rows = contrast_sweep([("solo", hist)])
         fit = fit_echo(hist)
-        assert rows[0]["r_raw"] == echo_contrast(fit)[0]
-        assert rows[0]["r_deconvolved"] == echo_contrast(
-            fit, subtract_background=True, deconvolve=True)[0]
+        assert (rows[0]["r_raw"], rows[0]["sigma_raw"]) == echo_contrast(fit)
+        assert (rows[0]["r_subtracted"], rows[0]["sigma_subtracted"]) == echo_contrast(
+            fit, subtract_background=True)
+        assert (rows[0]["r_deconvolved"], rows[0]["sigma_deconvolved"]) == echo_contrast(
+            fit, subtract_background=True, deconvolve=True)
+        assert rows[0]["fwhm"] == fit.fwhm
 
     def test_errors_reported_per_row(self):
         good, _ = headline_fixture(seed=11, scale=8)
@@ -184,6 +188,16 @@ class TestContrastSweep:
         assert "error" not in rows[0]
         assert rows[1]["label"] == "flat"
         assert "LowSignalError" in rows[1]["error"]
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        # only the errors the CLI maps to an exit status become row errors
+        def broken_fit(hist):
+            raise TypeError("broken fit")
+
+        monkeypatch.setattr(echoanalysis, "fit_echo", broken_fit)
+        good, _ = headline_fixture(seed=11, scale=8)
+        with pytest.raises(TypeError, match="broken fit"):
+            contrast_sweep([("good", good)])
 
     def test_saturation_shape_of_bundled_sweep(self):
         items = [(label, hist) for label, hist, _ in sweep_fixtures(seed=11)]

@@ -55,6 +55,11 @@ class TestAbsorb:
         amps = np.abs(absorb(comb, photon).c)
         assert amps.max() / amps.min() < 1.01
 
+    def test_zero_depth_comb_absorbs_nothing(self):
+        comb = CombSpec.from_bandwidth(12, 6e9, d1=0.0)
+        with pytest.raises(ValueError, match="comb absorbs nothing"):
+            absorb(comb, FLAT)
+
 
 class TestEmissionTrace:
     def test_first_echo_at_five_nanoseconds(self):
