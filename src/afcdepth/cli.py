@@ -175,8 +175,8 @@ def _cmd_pstats(args) -> int:
     channel, stats_model = load_channel_config(args.config)
     stats_model = args.stats_model or stats_model
     payload = _pstats_payload(channel, stats_model)
-    if args.sigma_mu or args.sigma_d1:
-        if not (args.d1 and args.finesse):
+    if args.sigma_mu is not None or args.sigma_d1 is not None:
+        if args.d1 is None or args.finesse is None:
             raise ConfigError("--sigma-mu/--sigma-d1 need --d1 and --finesse")
         _, sigmas = propagate_uncertainty(
             channel, d1=args.d1, finesse=args.finesse,
@@ -184,7 +184,7 @@ def _cmd_pstats(args) -> int:
             r_max=2, stats_model=stats_model)
         payload["sigma_p1"] = float(sigmas[1])
         payload["sigma_p2"] = float(sigmas[2])
-    if args.g2_ab:
+    if args.g2_ab is not None:
         payload["mu_from_g2"] = estimate_mu_from_g2(args.g2_ab)
     prov = _provenance([args.config], {"stats_model": stats_model})
     _write_json(Path(args.out) / "pstats.json", payload, prov)

@@ -12,9 +12,9 @@ reduced family, which attains the optimum over all component weights.
 Eliminating the constraints leaves one free excitation weight, and the
 optimum sits on a known constraint boundary: for k = N // M >= 2 the smallest
 feasible tail weight, found by root solves on the three constraints; for
-k = 1 the q = 1 boundary (a quadratic root) or an interior maximum found by a
-bounded search.  The evaluation has no settable knobs; the multi-start
-solvers that verify it live with the tests.
+k = 1 a closed form, with no search: the equal-amplitude point where it is
+feasible, else the q = 1 boundary (a quadratic root).  The evaluation has no
+settable knobs; the multi-start solvers that verify it live with the tests.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ _CEILING_GRID = np.linspace(1e-6, 1.0 - 1e-6, 2000)
 # tail weights whose constraint signs bracket the reduced family's smallest
 # feasible w; holding the ceiling grid, it meets every capped P2 budget
 _TAIL_GRID = np.union1d(np.geomspace(1e-14, 1.0 - 1e-12, 400), _CEILING_GRID)
-# span of the k = 1 excitation weight u, and the scan per feasible piece
-_U_EDGE = 1e-12
-_K1_SCAN = 24
 
 
 @dataclass(frozen=True)
@@ -189,8 +186,8 @@ class MaxContrastResult:
 def _p2_ceiling(prob: BoundProblem) -> float:
     """Largest two-excitation probability the k >= 2 family reaches at P1.
 
-    Sampled on ``_CEILING_GRID``.  The k = 1 family never needs it: u -> 1
-    meets any budget with q = P1 + P2 <= 1.
+    Sampled on ``_CEILING_GRID``.  The k = 1 family never needs it: its
+    closed form (``_k1_optimum``) meets any budget, since P1 + P2 <= 1.
     """
     s, p2 = _component_sp2(prob, prob.k, _CEILING_GRID)
     with np.errstate(all="ignore"):  # s = 0 or 1, or P1/s overflowing to inf
@@ -229,23 +226,6 @@ def _reduced_eval(prob: BoundProblem, w: float, p2_target: float):
     b1 = min(x / q1, 1.0) if q1 > 0 else 0.0
     value = (prob.depth * x + q_k * r_k) / (prob.p1 + 2.0 * prob.p2)
     return value, q1, b1, q_k
-
-
-def _k1_eval(prob: BoundProblem, u: float, p2_target: float):
-    """k = 1 branch: free remainder weight v plus an explicit vacuum share."""
-    ratio = prob.p1 / p2_target
-    den = u * (ratio + 2.0) - 1.0
-    if den <= 0.0:
-        return None
-    v = u / den
-    if not 0.0 < v <= 1.0:
-        return None
-    q = p2_target / (u * v)
-    if q > 1.0 + _REL_TOL:
-        return None
-    q = min(q, 1.0)
-    _, _, r = _component_terms(prob, 1, u, v)
-    return q * r / (prob.p1 + 2.0 * prob.p2), q, v
 
 
 def _tail_constraints(prob: BoundProblem, p2_target: float, w):
@@ -317,48 +297,39 @@ def _tail_max(prob: BoundProblem, p2_target: float):
     return w, out
 
 
-def _k1_max(prob: BoundProblem, p2_target: float):
-    """(u, _k1_eval at u) maximising the k = 1 contrast.
+def _k1_optimum(prob: BoundProblem, p2_target: float):
+    """(value, q, u, v) of the k = 1 optimum, in closed form.
 
-    q = P2/(u v) <= 1 holds outside the roots u_- <= u_+ of
-    u^2 - (P1 + 2 P2) u + P2 = 0 (everywhere when they are complex), so the
-    feasible u lie in [u_v1, u_-] and [u_+, 1), u_v1 being the v = 1 edge.
-    The candidates are the exact q = 1 roots plus, on each piece, the best
-    point of a log-spaced scan refined by a bounded Brent search in log u
-    (the maximum can be interior, e.g. where all N amplitudes are equal).
+    The one component, of weight q (the rest is vacuum), is an M-block of
+    excitation weight u and the remainder block of weight v.  Let
+    a^2 = (1 - u)/u and b^2 = (1 - v)/v.  Then s/p2 = a^2 + b^2, so the
+    P1/P2 ratio fixes a^2 + b^2 = rho = P1/P2; the constraint
+    q = P2 (1 + a^2)(1 + b^2) <= 1 becomes a^2 b^2 <= c = (1 - P1 - P2)/P2;
+    and the contrast is P2 (sqrt(M) b + sqrt(k') a)^2 / (P1 + 2 P2).
+
+    Interior case: by Cauchy-Schwarz the maximum is at
+    (a^2, b^2) = rho (k', M)/N, where all N amplitudes are equal, and the
+    contrast is N P1/(P1 + 2 P2), as at M = N.  This point is feasible iff
+    P1^2 M k' <= P2 (1 - P1 - P2) N^2.  Otherwise q = 1: a^2 and b^2 are the
+    roots of z^2 - rho z + c, the larger on b, the M-block (rearrangement
+    inequality, since M > k'): b^2 = rho (1 + sqrt(1 - 4 P2 (1 - P1 - P2)/P1^2))/2
+    and a^2 = c/b^2.  In u and v that is u + v - 2 u v = P1 and u v = P2:
+    u and v are the roots of z^2 - (P1 + 2 P2) z + P2, u the larger.  The
+    code solves for u and v directly, so it never forms rho, which
+    overflows for subnormal P2; 1 - P1 - P2 is clamped at 0 and u at 1.
     """
-    edge = 1.0 / (prob.p1 / p2_target + 1.0) * (1.0 + _U_EDGE)
-    top = 1.0 - _U_EDGE
-    b = prob.p1 + 2.0 * p2_target
-    disc = b * b - 4.0 * p2_target
-    if disc > 0.0:
-        u_plus = 0.5 * (b + math.sqrt(disc))
-        u_minus = p2_target / u_plus
-        candidates = [u_minus, u_plus]
-        pieces = [(edge, u_minus), (u_plus, top)]
+    m, kp, n, p1, p2 = prob.depth, prob.k_prime, prob.n_teeth, prob.p1, p2_target
+    norm = p1 + 2.0 * prob.p2
+    rest = max(1.0 - p1 - p2, 0.0)
+    if p1 * p1 * m * kp <= p2 * rest * n * n:
+        u, v = n * p2 / (n * p2 + p1 * kp), n * p2 / (n * p2 + p1 * m)
+        value = n * p1 / norm
     else:
-        candidates, pieces = [], [(edge, top)]
-
-    def value(log_u):
-        out = _k1_eval(prob, math.exp(log_u), p2_target)
-        return -math.inf if out is None else out[0]
-
-    for lo, hi in pieces:
-        if not lo < hi:
-            continue
-        grid = np.linspace(math.log(lo), math.log(hi), _K1_SCAN)
-        i = int(np.argmax([value(t) for t in grid]))
-        res = optimize.minimize_scalar(
-            lambda t: -value(t), method="bounded",
-            bounds=(grid[max(i - 1, 0)], grid[min(i + 1, _K1_SCAN - 1)]),
-            options={"xatol": 1e-12})
-        candidates += [math.exp(grid[i]), math.exp(float(res.x))]
-    best = None
-    for u in candidates:
-        out = _k1_eval(prob, u, p2_target)
-        if out is not None and (best is None or out[0] > best[1][0]):
-            best = (u, out)
-    return best
+        u = min(0.5 * (p1 + 2.0 * p2 + math.sqrt(max(p1 * p1 - 4.0 * p2 * rest, 0.0))),
+                1.0)
+        v = p2 / u
+        value = _component_terms(prob, 1, u, v)[2] / norm
+    return value, min(p2 / (u * v), 1.0), u, v
 
 
 def _reduced_max(prob: BoundProblem, p2_target: float):
@@ -374,20 +345,15 @@ def _reduced_max(prob: BoundProblem, p2_target: float):
         return MaxContrastResult(value, state, diag)
 
     if prob.k == 1:
-        found = _k1_max(prob, p2_target)
-    else:
-        found = _tail_max(prob, p2_target)
-    if found is None:
-        raise InfeasibleBoundError(
-            f"no feasible state at depth {prob.depth} for the given P1, P2")
-    w, out = found
-    best_v = out[0]
-    if prob.k == 1:
-        _, q, v = out
-        state = MixedBlockState(weights=np.array([q]), beta_sq=np.array([w]),
+        best_v, q, u, v = _k1_optimum(prob, p2_target)
+        state = MixedBlockState(weights=np.array([q]), beta_sq=np.array([u]),
                                 beta_kprime_sq=v)
     else:
-        _, q1, b1, q_k = out
+        found = _tail_max(prob, p2_target)
+        if found is None:
+            raise InfeasibleBoundError(
+                f"no feasible state at depth {prob.depth} for the given P1, P2")
+        w, (best_v, q1, b1, q_k) = found
         q = np.zeros(prob.k)
         b = np.zeros(prob.k)
         q[0], b[0] = q1, b1
@@ -424,8 +390,8 @@ def max_contrast(prob: BoundProblem) -> MaxContrastResult:
     two-excitation budget on the largest component dominates any split
     (Cauchy-Schwarz on the component weights), so the reduced family attains
     the global optimum.  The evaluation is an exact, deterministic
-    active-set solve: the smallest feasible tail weight for k >= 2, the
-    q = 1 roots plus a bounded search for k = 1.
+    active-set solve: the smallest feasible tail weight for k >= 2, and a
+    closed form with no search for k = 1.
     """
     if prob.p2 <= 0 or (prob.k == 1 and prob.k_prime == 0):
         # a single full-size block never holds two excitations; capping the
@@ -478,6 +444,7 @@ class DepthBoundResult:
                 "best_objective": self.diagnostics.best_objective,
                 "constraint_residuals": list(self.diagnostics.constraint_residuals),
                 "active_constraints": self.diagnostics.active_constraints,
+                "p2_target": self.diagnostics.p2_target,
             },
             "evaluations": self.evaluations,
         }

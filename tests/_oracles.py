@@ -24,9 +24,10 @@ import numpy as np
 
 from scipy import optimize
 
-from afcdepth.depthbound import (BoundProblem, MaxContrastResult, MixedBlockState,
-                                 SolverDiagnostics, _active_constraints,
-                                 _state_sums, max_contrast)
+from afcdepth.depthbound import (_REL_TOL, BoundProblem, MaxContrastResult,
+                                 MixedBlockState, SolverDiagnostics,
+                                 _active_constraints, _component_terms,
+                                 _reduced_eval, _state_sums, max_contrast)
 from afcdepth.dicke import ToothAmplitudes
 from afcdepth.echosim import (DEFAULT_SAMPLES_PER_PERIOD, CombSpec,
                               emission_probability)
@@ -171,15 +172,36 @@ def direct_family_values(state: MixedBlockState, prob: BoundProblem):
     return p1, p2, numerator
 
 
+def _k1_eval(prob: BoundProblem, u: float, p2_target: float):
+    """k = 1 branch: free remainder weight v plus an explicit vacuum share.
+
+    The contrast at M-block weight u, with q and v pinned by P1 and P2;
+    None if infeasible.  The searches below scan it, independently of the
+    library's closed form (``depthbound._k1_optimum``).
+    """
+    ratio = prob.p1 / p2_target
+    den = u * (ratio + 2.0) - 1.0
+    if den <= 0.0:
+        return None
+    v = u / den
+    if not 0.0 < v <= 1.0:
+        return None
+    q = p2_target / (u * v)
+    if q > 1.0 + _REL_TOL:
+        return None
+    q = min(q, 1.0)
+    _, _, r = _component_terms(prob, 1, u, v)
+    return q * r / (prob.p1 + 2.0 * prob.p2), q, v
+
+
 def grid_search_max(prob: BoundProblem, points: int = 10_000) -> float:
     """Dense grid search over the reduced variables via the public family API.
 
-    For each tail excitation weight w, the two equality constraints pin the
-    remaining reduced variables algebraically; the best feasible contrast
-    over the grid lower-bounds the true maximum.
+    For each tail excitation weight w (the M-block weight u of ``_k1_eval``
+    when k = 1), the two equality constraints pin the remaining reduced
+    variables algebraically; the best feasible contrast over the grid
+    lower-bounds the true maximum.
     """
-    from afcdepth.depthbound import _k1_eval, _reduced_eval
-
     if prob.p2 <= 0 or (prob.k == 1 and prob.k_prime == 0):
         return prob.depth * prob.p1 / (prob.p1 + 2.0 * prob.p2)
     best = -math.inf
@@ -236,8 +258,6 @@ def _multistart_scalar_max(f, lo, hi, n_starts, rng):
 def p2_ceiling_loop(prob: BoundProblem) -> float:
     """Two-excitation ceiling of the k >= 2 family, one tail weight at a time
     on the library's 2000-point grid (reference for its numpy version)."""
-    from afcdepth.depthbound import _component_terms
-
     best = 0.0
     for w in np.linspace(1e-6, 1.0 - 1e-6, 2000):
         s, p2, _ = _component_terms(prob, prob.k, float(w))
@@ -256,13 +276,12 @@ def multistart_max_contrast(prob: BoundProblem, n_starts: int = 200,
                             seed: int = 0):
     """max_R(M) of the reduced family by seeded multi-start search.
 
-    Shares only the scalar evaluators ``_reduced_eval`` / ``_k1_eval`` and the
-    P2 cap rule with the library's active-set evaluation; the search over the
+    Shares only the k >= 2 evaluator ``_reduced_eval`` and the P2 cap rule
+    with the library's active-set evaluation; k = 1 is scanned through
+    ``_k1_eval`` above, not the library's closed form.  The search over the
     free weight (w for k >= 2, u for k = 1) is ``_multistart_scalar_max``.
     Returns None when no feasible state is found.
     """
-    from afcdepth.depthbound import _k1_eval, _reduced_eval
-
     norm = prob.p1 + 2.0 * prob.p2
     if prob.p2 <= 0 or (prob.k == 1 and prob.k_prime == 0):
         return prob.depth * prob.p1 / norm

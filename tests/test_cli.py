@@ -66,6 +66,33 @@ class TestPstats:
         assert payload["mu_from_g2"] == pytest.approx(1.13e-3, rel=1e-2)
         assert payload["eta_b"] == pytest.approx(0.0106)
 
+    def run_pstats(self, tmp_path, *extra):
+        conf = tmp_path / "channel.conf"
+        conf.write_text(REFERENCE_CHANNEL_CONF)
+        out = tmp_path / "out"
+        return main(["pstats", "--config", str(conf), "--out", str(out), *extra]), out
+
+    # zero is a value, not an absent option
+    def test_zero_sigmas_are_reported(self, tmp_path):
+        code, out = self.run_pstats(tmp_path, "--sigma-mu", "0", "--sigma-d1", "0",
+                                    "--d1", "1", "--finesse", "2")
+        assert code == 0
+        payload = read_json(out / "pstats.json")
+        assert payload["sigma_p1"] == 0.0 and payload["sigma_p2"] == 0.0
+
+    def test_zero_d1_counts_as_given(self, tmp_path):
+        code, out = self.run_pstats(tmp_path, "--sigma-mu", "1e-4", "--d1", "0",
+                                    "--finesse", "2")
+        assert code == 0
+        assert "sigma_p1" in read_json(out / "pstats.json")
+
+    def test_zero_g2_is_rejected(self, tmp_path, capsys):
+        code, out = self.run_pstats(tmp_path, "--g2-ab", "0")
+        assert code == 1
+        message = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert message["error"] == "ValueError"
+        assert not out.exists()
+
     # channels ChannelModel accepts whose conditioning event has probability
     # zero, and a source bright enough to overflow a pair-number series
     @pytest.mark.parametrize("line,code,error", [

@@ -154,6 +154,11 @@ class TestMaxContrast:
         expected = 564 * prob.p1 / (prob.p1 + 2 * prob.p2)
         assert res.value == pytest.approx(expected, rel=1e-9)
 
+    def test_k1_interior_equals_full_depth(self):
+        # max_R(563) is the equal-amplitude optimum, N P1/(P1 + 2 P2) as at M = N
+        assert max_contrast(headline_problem(563)).value == \
+            max_contrast(headline_problem(564)).value
+
     def test_deterministic_reruns(self):
         a = max_contrast(headline_problem(137))
         b = max_contrast(headline_problem(137))
@@ -166,9 +171,16 @@ class TestMaxContrast:
                 res = max_contrast(prob)
                 assert res.value >= grid_search_max(prob) - 1e-4, (n, depth)
 
-    def test_optimum_state_verified_by_tensor_oracle(self):
-        prob = BoundProblem(12, 3, 5e-3, 1e-6)
+    @pytest.mark.parametrize("prob", [
+        BoundProblem(12, 3, 5e-3, 1e-6),
+        BoundProblem(12, 7, 5e-3, 1e-5),  # k = 1, all N amplitudes equal
+        BoundProblem(12, 7, 5e-3, 1e-6),  # k = 1 on the q = 1 boundary
+        # k = 1 at P1 + P2 = 1, where a searched optimum came out complex
+        BoundProblem(3, 2, 0.5099999999999999, 0.4900000000000001),
+    ], ids=["k4", "k1-interior", "k1-q-bound", "k1-edge"])
+    def test_optimum_state_verified_by_tensor_oracle(self, prob):
         res = max_contrast(prob)
+        assert type(res.value) is float
         p1_d, p2_d, num_d = direct_family_values(res.state, prob)
         assert p1_d == pytest.approx(prob.p1, rel=1e-9)
         assert p2_d == pytest.approx(prob.p2, rel=1e-9)
@@ -337,7 +349,14 @@ class TestCertifyDepth:
         payload = res.to_dict()
         assert payload["m_lower"] == res.m_lower
         assert set(payload["solver"]) == {"best_objective", "constraint_residuals",
-                                          "active_constraints"}
+                                          "active_constraints", "p2_target"}
+
+    def test_p2_budget_is_reported(self):
+        headline = certify_depth(256.7, 8.7, **HEADLINE).to_dict()
+        assert headline["solver"]["p2_target"] == HEADLINE["p2"]
+        capped = certify_depth(3.5, 0.0, CAPPED.n_teeth, CAPPED.p1, CAPPED.p2)
+        assert capped.m_lower == CAPPED.depth
+        assert capped.to_dict()["solver"]["p2_target"] < CAPPED.p2
 
 
 class TestBoundCurve:
@@ -351,7 +370,12 @@ class TestBoundCurve:
                   500, 563, 564]
         rows = bound_curve(**HEADLINE, depths=depths)
         values = [v for _, v in rows]
-        assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
+        assert all(b >= a for a, b in zip(values, values[1:]))
+
+    def test_k1_at_p1_plus_p2_one_is_real(self):
+        # a searched optimum here raised TypeError on a complex value
+        rows = bound_curve(629, 0.555647019086139, 0.444352980913861, [418])
+        assert [type(v) for _, v in rows] == [float]
 
     def test_low_depth_fit_matches_linear_form(self):
         depths = list(range(1, 51, 7))
