@@ -11,7 +11,8 @@ max_R(M) is evaluated exactly and deterministically on the two-component
 reduced family, which attains the optimum over all component weights.
 Eliminating the constraints leaves one free excitation weight, and the
 optimum sits on a known constraint boundary: for k = N // M >= 2 the smallest
-feasible tail weight, found by root solves on the three constraints; for
+feasible tail weight, found by bisection to adjacent floats on one
+feasibility rule (the remainder block's weight slaved to the tail's); for
 k = 1 a closed form, with no search: the equal-amplitude point where it is
 feasible, else the q = 1 boundary (a quadratic root).  The evaluation has no
 settable knobs; the multi-start solvers that verify it live with the tests.
@@ -23,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ContrastInconsistencyError, InfeasibleBoundError
 
@@ -72,15 +72,16 @@ class MixedBlockState:
     """Weights q_i and per-component excitation weights beta_i^2, i = 1..k.
 
     ``beta_kprime_sq`` is the excitation weight of the remainder block of the
-    last component; None means it is slaved to beta_k so that the
-    single-excitation content of that component is the symmetric state over
-    all N teeth.  Weights may sum to less than one; the shortfall is vacuum
+    last component (ignored when k' = 0).  The k >= 2 optimum sets it to
+    ``slaved_remainder_weight(beta_k^2, M, k')``, which makes that
+    component's single-excitation content the symmetric state over all N
+    teeth.  Weights may sum to less than one; the shortfall is vacuum
     (needed only when k = 1, where no other component can carry it).
     """
 
     weights: np.ndarray
     beta_sq: np.ndarray
-    beta_kprime_sq: float | None = None
+    beta_kprime_sq: float = 0.0
 
     def __post_init__(self):
         q = np.asarray(self.weights, dtype=float).ravel()
@@ -93,7 +94,7 @@ class MixedBlockState:
             raise ValueError("weights must be non-negative and sum to at most 1")
         if np.any((b < -1e-12) | (b > 1 + 1e-12)):
             raise ValueError("beta_sq entries must lie in [0, 1]")
-        if self.beta_kprime_sq is not None and not 0 <= self.beta_kprime_sq <= 1:
+        if not 0 <= self.beta_kprime_sq <= 1:
             raise ValueError("beta_kprime_sq must lie in [0, 1]")
 
 
@@ -109,11 +110,12 @@ def slaved_remainder_weight(beta_k_sq: float, depth: int, k_prime: int) -> float
     return rho * beta_k_sq / (1.0 - beta_k_sq * (1.0 - rho))
 
 
-def _component_sp2(prob: BoundProblem, i: int, w, v=None):
+def _component_sp2(prob: BoundProblem, i: int, w, v):
     """(s, p2) of component i at excitation weight w = beta_i^2.
 
     s is the single-excitation probability and p2 the two-excitation
-    probability.  w (and v) may be numpy arrays.
+    probability.  v is the remainder block's weight, read only for the last
+    component (i = k) when k' > 0.  w and v may be numpy arrays.
     """
     k, kp = prob.k, prob.k_prime
     one = 1.0 - w
@@ -121,8 +123,6 @@ def _component_sp2(prob: BoundProblem, i: int, w, v=None):
         s = i * w * one ** (i - 1)
         p2 = 0.5 * i * (i - 1) * w * w * one ** (i - 2) if i >= 2 else 0.0
         return s, p2
-    if v is None:
-        v = slaved_remainder_weight(w, prob.depth, kp)
     a = w * one ** (k - 1)
     s = k * a * (1.0 - v) + v * one**k
     p2 = (0.5 * k * (k - 1) * w * w * one ** (k - 2) if k >= 2 else 0.0) * (1.0 - v) \
@@ -130,7 +130,7 @@ def _component_sp2(prob: BoundProblem, i: int, w, v=None):
     return s, p2
 
 
-def _component_terms(prob: BoundProblem, i: int, w: float, v: float | None = None):
+def _component_terms(prob: BoundProblem, i: int, w: float, v: float):
     """(s, p2, r) of component i at excitation weight w = beta_i^2.
 
     r is the component's contribution |sum_j c_j|^2 to the contrast
@@ -142,8 +142,6 @@ def _component_terms(prob: BoundProblem, i: int, w: float, v: float | None = Non
     one = 1.0 - w
     if i < k or kp == 0:
         return s, p2, m * i * i * w * one ** (i - 1)
-    if v is None:
-        v = slaved_remainder_weight(w, m, kp)
     amp = k * math.sqrt(m * w * (1.0 - v)) * one ** ((k - 1) / 2.0) \
         + math.sqrt(kp * v) * one ** (k / 2.0)
     return s, p2, amp * amp
@@ -158,8 +156,7 @@ def _state_sums(state: MixedBlockState, prob: BoundProblem):
         raise ValueError(f"state has {state.weights.size} components, expected k={prob.k}")
     s_terms, p2_terms, r_terms = [], [], []
     for idx, (q, w) in enumerate(zip(state.weights, state.beta_sq), start=1):
-        v = state.beta_kprime_sq if idx == prob.k else None
-        s, p2, r = _component_terms(prob, idx, float(w), v)
+        s, p2, r = _component_terms(prob, idx, float(w), state.beta_kprime_sq)
         s_terms.append(q * s)
         p2_terms.append(q * p2)
         r_terms.append(q * r)
@@ -189,7 +186,8 @@ def _p2_ceiling(prob: BoundProblem) -> float:
     Sampled on ``_CEILING_GRID``.  The k = 1 family never needs it: its
     closed form (``_k1_optimum``) meets any budget, since P1 + P2 <= 1.
     """
-    s, p2 = _component_sp2(prob, prob.k, _CEILING_GRID)
+    s, p2 = _component_sp2(prob, prob.k, _CEILING_GRID,
+                           slaved_remainder_weight(_CEILING_GRID, prob.depth, prob.k_prime))
     with np.errstate(all="ignore"):  # s = 0 or 1, or P1/s overflowing to inf
         caps = np.minimum(1.0, np.minimum(np.where(s > 0, prob.p1 / s, np.inf),
                                           np.where(s < 1, (1.0 - prob.p1) / (1.0 - s),
@@ -203,98 +201,57 @@ def _vacuum_state(prob: BoundProblem) -> MixedBlockState:
     b = np.zeros(prob.k)
     q[0] = 1.0
     b[0] = prob.p1
-    return MixedBlockState(weights=q, beta_sq=b,
-                           beta_kprime_sq=0.0 if prob.k_prime else None)
-
-
-def _reduced_eval(prob: BoundProblem, w: float, p2_target: float):
-    """Contrast with live weight on components 1 and k only; None if infeasible."""
-    s_k, p2_k, r_k = _component_terms(prob, prob.k, w)
-    if p2_k <= 0.0:
-        return None
-    q_k = p2_target / p2_k
-    if q_k > 1.0 + _REL_TOL:
-        return None
-    q_k = min(q_k, 1.0)
-    q1 = 1.0 - q_k
-    x = prob.p1 - q_k * s_k
-    if x < -1e-15 * prob.p1:
-        return None
-    x = max(x, 0.0)
-    if x > q1 * (1.0 + _REL_TOL):
-        return None
-    b1 = min(x / q1, 1.0) if q1 > 0 else 0.0
-    value = (prob.depth * x + q_k * r_k) / (prob.p1 + 2.0 * prob.p2)
-    return value, q1, b1, q_k
+    return MixedBlockState(weights=q, beta_sq=b)
 
 
 def _tail_constraints(prob: BoundProblem, p2_target: float, w):
     """q_k <= 1, x >= 0 and b1 <= 1 of the reduced family, each as g(w) >= 0.
 
-    Each carries the tolerance ``_reduced_eval`` grants it, so the boundary
-    found is that of the feasible set ``_reduced_eval`` accepts (it matters
+    The reduced family's only feasibility test; the tail component's
+    remainder block takes the slaved weight.  q_k <= 1 and b1 <= 1 carry
+    the relative tolerance ``_REL_TOL``, x >= 0 one of 1e-15; it matters
     where a constraint only touches zero, e.g. b1 <= 1 at w = 1 when
-    P1 + P2 = 1).
+    P1 + P2 = 1.  w may be a numpy array.
     """
-    s, p2 = _component_sp2(prob, prob.k, w)
+    s, p2 = _component_sp2(prob, prob.k, w,
+                           slaved_remainder_weight(w, prob.depth, prob.k_prime))
     t = 1.0 + _REL_TOL
     return (t * p2 - p2_target, (1.0 + 1e-15) * prob.p1 * p2 - p2_target * s,
             (t - prob.p1) * p2 - p2_target * (t - s))
 
 
 def _tail_max(prob: BoundProblem, p2_target: float):
-    """(w, _reduced_eval at w) for the smallest feasible tail weight w.
+    """Smallest tail weight w that ``_tail_constraints`` accepts, or None.
 
     With q_k = P2/p2 the contrast numerator is M P1 + P2 (N - M) s(w)/p2(w).
     s/p2 = 2 (1 - w)/((k - 1) w) falls strictly in w when k' = 0, and falls
     with the slaved remainder too (checked densely by the tests).  Each
     constraint holds on one interval of w (p2 is unimodal, (1 - s)/p2
     U-shaped; the oracle tests check the outcome), so the feasible set is
-    an interval and the optimum is its left end: the largest lower boundary
-    among the three constraints.  The first feasible grid point brackets
-    it; brentq solves each constraint that changes sign in the bracket.
-    Returns None when no tail weight is feasible.
+    an interval and the optimum is its left end.  The first accepted point
+    of ``_TAIL_GRID`` and the grid point before it bracket that end;
+    bisection on "all three rows >= 0" closes the bracket to adjacent
+    floats, so the returned w is accepted and its left neighbour is not.
+    Where b1 <= 1 is nearly tangent (capped budgets) rounding makes
+    acceptance flicker over many ulps; the bisection stops on one edge of it.
     """
-    grid = _TAIL_GRID
-    g = np.array(_tail_constraints(prob, p2_target, grid))
-    feasible = np.all(g >= 0.0, axis=0)
-    if not feasible.any():
-        return None
-    j = int(np.argmax(feasible))
-    hi = w = float(grid[j])
-    if j > 0:
-        lo = w = float(grid[j - 1])
-        for i in np.flatnonzero(g[:, j - 1] < 0.0):
-            def gi(t, i=i):
-                return _tail_constraints(prob, p2_target, t)[i]
+    def feasible(w):  # on arrays elementwise, on floats a bool
+        g_q, g_x, g_b = _tail_constraints(prob, p2_target, w)
+        return (g_q >= 0.0) & (g_x >= 0.0) & (g_b >= 0.0)
 
-            if gi(hi) <= 0.0:  # rounding put the root on the bracket's end
-                w = hi
-            elif gi(lo) < 0.0:
-                w = max(w, optimize.brentq(gi, lo, hi, xtol=1e-300,
-                                           rtol=4 * np.finfo(float).eps))
-    # Rounding can leave the root on the infeasible side.  Where b1 <= 1 is
-    # nearly tangent (capped budgets) the accepted set flickers over many
-    # ulps, so step right in doubling steps to a feasible point, then bisect
-    # back to one whose left neighbour is infeasible.
-    out = _reduced_eval(prob, w, p2_target)
-    lo, step = w, float(np.spacing(w))
-    while out is None:
-        if w >= hi:
-            return None
-        lo, w = w, min(w + step, hi)
-        step *= 2.0
-        out = _reduced_eval(prob, w, p2_target)
-    while lo < w:
-        mid = 0.5 * (lo + w)
-        if not lo < mid < w:
-            break
-        mid_out = _reduced_eval(prob, mid, p2_target)
-        if mid_out is None:
-            lo = mid
-        else:
-            w, out = mid, mid_out
-    return w, out
+    ok = feasible(_TAIL_GRID)
+    if not ok.any():
+        return None
+    j = int(np.argmax(ok))
+    hi = float(_TAIL_GRID[j])
+    if j > 0:
+        lo = float(_TAIL_GRID[j - 1])
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if feasible(mid):
+                hi = mid
+            else:
+                lo = mid
+    return hi
 
 
 def _k1_optimum(prob: BoundProblem, p2_target: float):
@@ -349,16 +306,23 @@ def _reduced_max(prob: BoundProblem, p2_target: float):
         state = MixedBlockState(weights=np.array([q]), beta_sq=np.array([u]),
                                 beta_kprime_sq=v)
     else:
-        found = _tail_max(prob, p2_target)
-        if found is None:
+        w = _tail_max(prob, p2_target)
+        if w is None:
             raise InfeasibleBoundError(
                 f"no feasible state at depth {prob.depth} for the given P1, P2")
-        w, (best_v, q1, b1, q_k) = found
+        v = slaved_remainder_weight(w, prob.depth, prob.k_prime)
+        s_k, p2_k, r_k = _component_terms(prob, prob.k, w, v)
+        q_k = min(p2_target / p2_k, 1.0)
+        q1 = 1.0 - q_k
+        x = max(prob.p1 - q_k * s_k, 0.0)
+        norm = prob.p1 + 2.0 * prob.p2
+        # no state beats N P1/(P1 + 2 P2): |sum_j c_j|^2 <= N sum_j |c_j|^2
+        best_v = min((prob.depth * x + q_k * r_k) / norm, prob.n_teeth * prob.p1 / norm)
         q = np.zeros(prob.k)
         b = np.zeros(prob.k)
-        q[0], b[0] = q1, b1
+        q[0], b[0] = q1, min(x / q1, 1.0) if q1 > 0 else 0.0
         q[-1], b[-1] = q_k, w
-        state = MixedBlockState(weights=q, beta_sq=b)
+        state = MixedBlockState(weights=q, beta_sq=b, beta_kprime_sq=v)
 
     s, p2, _ = _state_sums(state, prob)
     diag.best_objective = best_v
@@ -390,8 +354,10 @@ def max_contrast(prob: BoundProblem) -> MaxContrastResult:
     two-excitation budget on the largest component dominates any split
     (Cauchy-Schwarz on the component weights), so the reduced family attains
     the global optimum.  The evaluation is an exact, deterministic
-    active-set solve: the smallest feasible tail weight for k >= 2, and a
-    closed form with no search for k = 1.
+    active-set solve: for k >= 2 the smallest feasible tail weight, bisected
+    to adjacent floats, with the remainder block's weight slaved to it and
+    the value held to N P1/(P1 + 2 P2), the bound no state exceeds; for
+    k = 1 a closed form with no search, whose remainder weight is free.
     """
     if prob.p2 <= 0 or (prob.k == 1 and prob.k_prime == 0):
         # a single full-size block never holds two excitations; capping the

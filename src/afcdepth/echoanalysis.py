@@ -213,9 +213,9 @@ def fit_echo(hist: TimeHistogram) -> EchoFit:
 
 def deconvolution_factor(fwhm_echo: float, fwhm_detector: float) -> float:
     """Amplitude correction sqrt(dt_p^2 / (dt_p^2 - dt_D^2)) for jitter."""
-    if fwhm_detector < 0:
-        raise ValueError("detector fwhm must be non-negative")
-    if fwhm_echo <= fwhm_detector:
+    if not (math.isfinite(fwhm_detector) and fwhm_detector >= 0):
+        raise ValueError("detector fwhm must be non-negative and finite")
+    if not fwhm_echo > fwhm_detector:
         raise DeconvolutionError(
             f"fitted echo fwhm {fwhm_echo:.3g}s not above detector "
             f"response {fwhm_detector:.3g}s")

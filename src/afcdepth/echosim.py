@@ -44,10 +44,10 @@ class CombSpec:
     def __post_init__(self):
         if self.n_teeth < 1:
             raise ValueError("n_teeth must be >= 1")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.gamma < 0 or self.d1 < 0 or self.d0 < 0:
-            raise ValueError("gamma, d1, d0 must be non-negative")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError("delta must be positive and finite")
+        if not all(math.isfinite(x) and x >= 0 for x in (self.gamma, self.d1, self.d0)):
+            raise ValueError("gamma, d1, d0 must be non-negative and finite")
         if self.tooth_shape not in TOOTH_SHAPES:
             raise ValueError(f"tooth_shape must be one of {TOOTH_SHAPES}")
         n_implied = round(self.bandwidth * 2.0 * math.pi / self.delta)
@@ -92,8 +92,10 @@ class PhotonSpectrum:
     def __post_init__(self):
         if self.shape not in PHOTON_SHAPES:
             raise ValueError(f"shape must be one of {PHOTON_SHAPES}")
-        if self.shape != "flat" and self.fwhm <= 0:
-            raise ValueError("fwhm must be positive")
+        if not math.isfinite(self.fwhm) or (self.shape != "flat" and self.fwhm <= 0):
+            raise ValueError("fwhm must be positive and finite")
+        if not math.isfinite(self.center_offset):
+            raise ValueError("center_offset must be finite")
 
     def density(self, freq_hz) -> np.ndarray:
         f = np.asarray(freq_hz, dtype=float)

@@ -136,10 +136,10 @@ def estimate_mu_from_g2(g2_ab: float) -> float:
 
 def write_efficiency(d1: float, finesse: float) -> float:
     """Absorption probability 1 - exp(-d1/F) from the effective depth d1/F."""
-    if d1 < 0:
-        raise ValueError("d1 must be non-negative")
-    if finesse < 1:
-        raise ValueError("finesse must be >= 1")
+    if not (math.isfinite(d1) and d1 >= 0):
+        raise ValueError("d1 must be non-negative and finite")
+    if not (math.isfinite(finesse) and finesse >= 1):
+        raise ValueError("finesse must be >= 1 and finite")
     return 1.0 - math.exp(-d1 / finesse)
 
 

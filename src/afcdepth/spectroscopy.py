@@ -68,12 +68,12 @@ def atoms_per_tooth_from_absorption(mat: MaterialParams, theta_t: float,
     N_t = n_d * L * A * (Theta_t / Theta_i) with Theta_t the Hz-integrated
     tooth depth and Theta_i the full-line value (defaults to the material's).
     """
-    if theta_t < 0:
-        raise ValueError("theta_t must be non-negative")
+    if not (math.isfinite(theta_t) and theta_t >= 0):
+        raise ValueError("theta_t must be non-negative and finite")
     if theta_i is None:
         theta_i = mat.integrated_depth
-    if theta_i <= 0:
-        raise ValueError("theta_i must be positive")
+    if not (math.isfinite(theta_i) and theta_i > 0):
+        raise ValueError("theta_i must be positive and finite")
     return mat.n_d * mat.length * mat.area * (theta_t / theta_i)
 
 
@@ -91,8 +91,8 @@ def single_ion_depth(mat: MaterialParams) -> float:
 
 def atoms_per_tooth_from_single_ion(mat: MaterialParams, theta_t: float) -> float:
     """Atoms in one tooth from single-ion spectroscopy: Theta_t/(gamma_h d_atom)."""
-    if theta_t < 0:
-        raise ValueError("theta_t must be non-negative")
+    if not (math.isfinite(theta_t) and theta_t >= 0):
+        raise ValueError("theta_t must be non-negative and finite")
     return theta_t / (mat.gamma_h * single_ion_depth(mat))
 
 

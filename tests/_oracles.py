@@ -27,7 +27,8 @@ from scipy import optimize
 from afcdepth.depthbound import (_REL_TOL, BoundProblem, MaxContrastResult,
                                  MixedBlockState, SolverDiagnostics,
                                  _active_constraints, _component_terms,
-                                 _reduced_eval, _state_sums, max_contrast)
+                                 _state_sums, max_contrast,
+                                 slaved_remainder_weight)
 from afcdepth.dicke import ToothAmplitudes
 from afcdepth.echosim import (DEFAULT_SAMPLES_PER_PERIOD, CombSpec,
                               emission_probability)
@@ -151,18 +152,14 @@ def sector_data(psi: np.ndarray):
 
 def direct_family_values(state: MixedBlockState, prob: BoundProblem):
     """(P1, P2, contrast numerator) from explicit tensor states, N <= 12."""
-    from afcdepth.depthbound import slaved_remainder_weight
-
     p1 = p2 = numerator = 0.0
     k = prob.k
     for i, (q, b) in enumerate(zip(state.weights, state.beta_sq), start=1):
         if q == 0:
             continue
         if i == k and prob.k_prime:
-            v = state.beta_kprime_sq
-            if v is None:
-                v = slaved_remainder_weight(float(b), prob.depth, prob.k_prime)
-            psi = block_product_state(prob.depth, i, float(b), prob.k_prime, float(v))
+            psi = block_product_state(prob.depth, i, float(b), prob.k_prime,
+                                      state.beta_kprime_sq)
         else:
             psi = block_product_state(prob.depth, i, float(b))
         weights, single_sum = sector_data(psi)
@@ -170,6 +167,34 @@ def direct_family_values(state: MixedBlockState, prob: BoundProblem):
         p2 += q * (weights[2] if weights.size > 2 else 0.0)
         numerator += q * abs(single_sum) ** 2
     return p1, p2, numerator
+
+
+def _reduced_eval(prob: BoundProblem, w: float, p2_target: float):
+    """Contrast with live weight on components 1 and k only; None if infeasible.
+
+    The k >= 2 family at tail weight w with the slaved remainder, q_k and
+    the first component pinned by P2 and P1.  The searches below scan it;
+    its feasibility test is written apart from the library's
+    (``depthbound._tail_constraints``).
+    """
+    v = slaved_remainder_weight(w, prob.depth, prob.k_prime)
+    s_k, p2_k, r_k = _component_terms(prob, prob.k, w, v)
+    if p2_k <= 0.0:
+        return None
+    q_k = p2_target / p2_k
+    if q_k > 1.0 + _REL_TOL:
+        return None
+    q_k = min(q_k, 1.0)
+    q1 = 1.0 - q_k
+    x = prob.p1 - q_k * s_k
+    if x < -1e-15 * prob.p1:
+        return None
+    x = max(x, 0.0)
+    if x > q1 * (1.0 + _REL_TOL):
+        return None
+    b1 = min(x / q1, 1.0) if q1 > 0 else 0.0
+    value = (prob.depth * x + q_k * r_k) / (prob.p1 + 2.0 * prob.p2)
+    return value, q1, b1, q_k
 
 
 def _k1_eval(prob: BoundProblem, u: float, p2_target: float):
@@ -260,7 +285,9 @@ def p2_ceiling_loop(prob: BoundProblem) -> float:
     on the library's 2000-point grid (reference for its numpy version)."""
     best = 0.0
     for w in np.linspace(1e-6, 1.0 - 1e-6, 2000):
-        s, p2, _ = _component_terms(prob, prob.k, float(w))
+        s, p2, _ = _component_terms(prob, prob.k, float(w),
+                                    slaved_remainder_weight(float(w), prob.depth,
+                                                            prob.k_prime))
         if p2 <= 0:
             continue
         caps = [1.0]
@@ -276,10 +303,11 @@ def multistart_max_contrast(prob: BoundProblem, n_starts: int = 200,
                             seed: int = 0):
     """max_R(M) of the reduced family by seeded multi-start search.
 
-    Shares only the k >= 2 evaluator ``_reduced_eval`` and the P2 cap rule
-    with the library's active-set evaluation; k = 1 is scanned through
-    ``_k1_eval`` above, not the library's closed form.  The search over the
-    free weight (w for k >= 2, u for k = 1) is ``_multistart_scalar_max``.
+    Shares only the P2 cap rule with the library's active-set evaluation:
+    k >= 2 is scanned through ``_reduced_eval`` above, not the library's
+    bisection, and k = 1 through ``_k1_eval``, not its closed form.  The
+    search over the free weight (w for k >= 2, u for k = 1) is
+    ``_multistart_scalar_max``.
     Returns None when no feasible state is found.
     """
     norm = prob.p1 + 2.0 * prob.p2
@@ -440,7 +468,9 @@ def full_max_contrast(prob: BoundProblem, n_starts: int, seed: int) -> MaxContra
             best_val, best_z = val, z
 
     q, w = best_z[:k], best_z[k:]
-    state = MixedBlockState(weights=q / q.sum(), beta_sq=w)
+    state = MixedBlockState(weights=q / q.sum(), beta_sq=w,
+                            beta_kprime_sq=slaved_remainder_weight(
+                                float(w[-1]), prob.depth, prob.k_prime))
     s, p2, _ = _state_sums(state, prob)
     diag.best_objective = best_val
     diag.constraint_residuals = (abs(s - prob.p1) / prob.p1,

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -539,4 +540,46 @@ class TestMalformedNestedConfig:
         out = tmp_path / "out"
         assert_config_error(capsys, main(["pipeline", "--config", str(config),
                                           "--out", str(out)]))
+        assert not out.exists()
+
+
+class TestNonFiniteInputs:
+    """NaN must fail the range checks: a check written ``x < 0`` lets it
+    through, and the run writes NaN and exits 0."""
+
+    @pytest.mark.parametrize("photon,comb", [
+        ({"shape": "lorentzian", "fwhm_hz": math.nan}, {}),
+        ({"shape": "lorentzian", "fwhm_hz": 1e9, "center_offset_hz": math.nan}, {}),
+        ({"shape": "flat"}, {"finesse": math.nan}),
+    ], ids=["photon-fwhm", "photon-center-offset", "comb-finesse"])
+    def test_simulate(self, tmp_path, capsys, photon, comb):
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({
+            "photon": photon, "combs": [{"n_teeth": 94, "bandwidth_hz": 6e9, **comb}]}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] \
+            == "ValueError"
+        assert not out.exists()
+
+    def test_analyze_detector_fwhm(self, tmp_path, capsys):
+        fixtures = tmp_path / "fixtures"
+        manifest = write_fixture_files(fixtures, seed=11)
+        out = tmp_path / "out"
+        assert analyze_histogram(fixtures, manifest["histograms"][-1], out,
+                                 "--detector-fwhm", "nan") == 1
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] \
+            == "ValueError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--theta-t", "nan"],
+        ["--theta-t", "4.3e6", "--theta-i", "nan"],
+        ["--theta-t", "4.3e6", "--d1", "nan", "--finesse", "2"],
+    ], ids=["theta-t", "theta-i", "d1"])
+    def test_atoms(self, tmp_path, capsys, extra):
+        out = tmp_path / "out"
+        assert main(["atoms", *extra, "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] \
+            == "ValueError"
         assert not out.exists()

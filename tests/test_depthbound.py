@@ -14,9 +14,9 @@ from _oracles import (block_product_state, direct_family_values,
                       multistart_max_contrast, p2_ceiling_loop, sector_data,
                       splus_sminus_matrix)
 from afcdepth.depthbound import (BoundProblem, MixedBlockState, _component_sp2,
-                                 _p2_ceiling, _state_sums, bound_curve,
-                                 certify_depth, linear_bound, max_contrast,
-                                 slaved_remainder_weight)
+                                 _p2_ceiling, _state_sums, _tail_constraints,
+                                 bound_curve, certify_depth, linear_bound,
+                                 max_contrast, slaved_remainder_weight)
 from afcdepth.errors import ContrastInconsistencyError
 
 REFERENCE_BOUND = Path(__file__).resolve().parents[1] / "perfbench" / "reference_bound.json"
@@ -78,7 +78,9 @@ class TestFamilyEvaluation:
         for _ in range(4):
             q = rng.dirichlet(np.ones(k))
             b = rng.uniform(0.01, 0.5, size=k)
-            state = MixedBlockState(weights=q, beta_sq=b)
+            # a remainder weight off the slaved curve, wherever there is a remainder
+            v = float(rng.uniform(0.01, 0.5)) if prob.k_prime else 0.0
+            state = MixedBlockState(weights=q, beta_sq=b, beta_kprime_sq=v)
             p1_f, p2_f, num_f = _state_sums(state, prob)
             p1_d, p2_d, num_d = direct_family_values(state, prob)
             assert p1_f == pytest.approx(p1_d, rel=1e-10)
@@ -221,7 +223,8 @@ class TestActiveSetEvaluation:
         for (k, k_prime), depths in groups.items():
             prob = SimpleNamespace(k=k, k_prime=k_prime,
                                    depth=np.array(depths)[:, None])
-            s, p2 = np.atleast_2d(*_component_sp2(prob, k, w))
+            v = slaved_remainder_weight(w, prob.depth, k_prime)
+            s, p2 = np.atleast_2d(*_component_sp2(prob, k, w, v))
             live = p2 > 1e-300  # (1 - w)^(k - 2) underflows near w = 1
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = s / p2
@@ -249,6 +252,14 @@ class TestActiveSetEvaluation:
             return  # the search found no feasible state; any value beats it
         assert value >= oracle - 1e-12 * abs(oracle), prob
         assert value <= oracle + 1e-6 * abs(oracle), prob
+
+    @pytest.mark.parametrize("prob", [headline_problem(m) for m in (3, 100, 188, 229, 282)]
+                             + [CAPPED], ids=lambda p: f"N{p.n_teeth}-M{p.depth}")
+    def test_tail_weight_is_the_feasible_left_end(self, prob):
+        res = max_contrast(prob)
+        w, p2_target = res.state.beta_sq[-1], res.diagnostics.p2_target
+        assert min(_tail_constraints(prob, p2_target, w)) >= 0.0
+        assert min(_tail_constraints(prob, p2_target, np.nextafter(w, 0.0))) < 0.0
 
     def test_capped_budget_uses_loop_ceiling(self):
         res = max_contrast(CAPPED)
@@ -371,6 +382,12 @@ class TestBoundCurve:
         rows = bound_curve(**HEADLINE, depths=depths)
         values = [v for _, v in rows]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    def test_tied_family_never_exceeds_full_depth(self):
+        # max_R(N) = N P1/(P1 + 2 P2) bounds every state, k >= 2 (M = 1..5) included
+        values = [v for _, v in bound_curve(11, 0.39, 0.29, range(1, 12))]
+        assert all(b >= a for a, b in zip(values, values[1:])), values
+        assert max(values) == values[-1] == 11 * 0.39 / (0.39 + 2 * 0.29)
 
     def test_k1_at_p1_plus_p2_one_is_real(self):
         # a searched optimum here raised TypeError on a complex value
